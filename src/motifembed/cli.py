@@ -266,13 +266,10 @@ def cmd_motif_matrix(args: argparse.Namespace) -> int:
 
 
 def _write_vector_tsv(out, labels, matrix) -> None:
-    for idx in range(matrix.shape[0]):
-        out.write(
-            str(int(labels[idx]))
-            + "\t"
-            + "\t".join(format(x, ".17g") for x in matrix[idx])
-            + "\n"
-        )
+    """One ``label<TAB>v1<TAB>...`` line per row, values at 17 significant digits."""
+    row_format = "%d" + "\t%.17g" * matrix.shape[1] + "\n"
+    for label, row in zip(labels.tolist(), matrix):
+        out.write(row_format % (label, *row.tolist()))
 
 
 def cmd_embed(args: argparse.Namespace) -> int:

@@ -1,15 +1,20 @@
-"""Low-rank factorization kernels: randomized subspace iteration and
-cyclic coordinate descent, plus the column normalizer shared by the
-embedding pipeline."""
+"""Low-rank factorization kernels: randomized subspace iteration, the exact
+closed-form solver of the regularized fusion objective, and cyclic
+coordinate descent on the same objective (kept as a reference solver), plus
+the column normalizer shared by the embedding pipeline."""
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigh
 from scipy.sparse.linalg import aslinearoperator
+
+log = logging.getLogger("motifembed.factorize")
 
 # materializing the reconstruction for the residual is only worth it below this
 _RESIDUAL_ENTRY_CAP = 4_194_304
@@ -26,6 +31,7 @@ def normalize_columns(m: np.ndarray) -> np.ndarray:
 class FactorizeMethod(Enum):
     RANDOMIZED_SVD = "rsvd"
     CCD = "ccd"
+    EXACT = "exact"
 
 
 @dataclass(frozen=True)
@@ -67,7 +73,10 @@ class LowRankFactors:
     callers that want unit columns apply :func:`normalize_columns`.
     ``residual`` is the relative Frobenius reconstruction error, present only
     when it was cheap to compute. ``objective_path`` holds the per-sweep
-    regularized objective for the coordinate-descent method.
+    regularized objective for the coordinate-descent method and the single
+    optimal value for the exact method. ``converged`` is set by the solvers
+    of the regularized objective: False when coordinate descent stopped at
+    its sweep cap.
     """
 
     U: np.ndarray
@@ -75,6 +84,7 @@ class LowRankFactors:
     achieved_rank: int
     residual: float | None = None
     objective_path: tuple[float, ...] | None = None
+    converged: bool | None = None
 
 
 def _relative_residual(matrix, u: np.ndarray, v: np.ndarray) -> float:
@@ -128,6 +138,59 @@ def randomized_low_rank(operator, cfg: FactorizeConfig) -> LowRankFactors:
     return LowRankFactors(U=u, V=v, achieved_rank=achieved, residual=residual)
 
 
+def exact_factorize(matrix, cfg: FactorizeConfig) -> LowRankFactors:
+    """Exact minimizer of ½‖S − UV‖² + reg·(‖U‖² + ‖V‖²) at rank ``cfg.rank``.
+
+    The optimum is the thin SVD of S with singular values soft-thresholded
+    at 2·reg and split √ across U and V (Srebro, Rennie, Jaakkola 2004). The
+    top-rank singular pairs come from an eigensolve of the Gram matrix on
+    the smaller side of S. Each component's sign makes the largest-|entry|
+    of its row of V positive. Components beyond min(shape) and components
+    thresholded away are zero, so U and V always have ``cfg.rank`` columns
+    and rows. The objective and residual are computed from the spectrum.
+    """
+    dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix, dtype=np.float64)
+    n_rows, n_cols = dense.shape
+    reg = cfg.ccd.reg
+    tall = n_cols <= n_rows
+    gram = dense.T @ dense if tall else dense @ dense.T
+    size = gram.shape[0]
+    r = min(cfg.rank, size)
+    sq_norm = float(np.trace(gram))
+    # the transpose of the symmetric Gram is itself, Fortran-ordered: no copy
+    lam, vec = eigh(gram.T, subset_by_index=(size - r, size - 1), driver="evr",
+                    overwrite_a=True, check_finite=False)
+    lam, vec = np.maximum(lam[::-1], 0.0), vec[:, ::-1]
+    s = np.sqrt(lam)
+    t = np.maximum(s - 2.0 * reg, 0.0)
+    root = np.sqrt(t)
+    shrink = np.divide(root, s, out=np.zeros_like(s), where=t > 0)
+    if tall:
+        u, v = dense @ (vec * shrink), root[:, None] * vec.T
+    else:
+        u, v = vec * root, shrink[:, None] * (vec.T @ dense)
+    pivot = v[np.arange(r), np.argmax(np.abs(v), axis=1)]
+    sign = np.where(pivot < 0, -1.0, 1.0)
+    u *= sign
+    v *= sign[:, None]
+    if r < cfg.rank:
+        u = np.hstack([u, np.zeros((n_rows, cfg.rank - r))])
+        v = np.vstack([v, np.zeros((cfg.rank - r, n_cols))])
+
+    tail = sq_norm - float(lam.sum()) if r < size else 0.0
+    fit = max(tail, 0.0) + float(np.sum((s - t) ** 2))
+    objective = 0.5 * fit + 2.0 * reg * float(t.sum())
+    residual = float(np.sqrt(fit / sq_norm)) if sq_norm > 0 else 0.0
+    return LowRankFactors(
+        U=u,
+        V=v,
+        achieved_rank=int(np.count_nonzero(t)),
+        residual=residual,
+        objective_path=(objective,),
+        converged=True,
+    )
+
+
 def ccd_factorize(matrix, cfg: FactorizeConfig) -> LowRankFactors:
     """Cyclic coordinate descent on ½‖S − UV‖² + reg·(‖U‖² + ‖V‖²).
 
@@ -135,7 +198,8 @@ def ccd_factorize(matrix, cfg: FactorizeConfig) -> LowRankFactors:
     the recorded objective is non-increasing sweep over sweep. U starts
     uniform in ±0.5/sqrt(rank) from the seed; V starts at zero and is updated
     first. Stops when the relative objective decrease falls below
-    ``cfg.ccd.tol`` or after ``cfg.ccd.max_sweeps``.
+    ``cfg.ccd.tol`` or after ``cfg.ccd.max_sweeps``; stopping at the cap is
+    logged as a warning and reported as ``converged=False``.
     """
     dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix, dtype=np.float64)
     n_rows, n_cols = dense.shape
@@ -153,6 +217,7 @@ def ccd_factorize(matrix, cfg: FactorizeConfig) -> LowRankFactors:
     objectives: list[float] = []
     prev = None
     fit = sq_norm
+    converged = False
     for _ in range(cfg.ccd.max_sweeps):
         for d in range(rank):
             denom = gram_u[d, d] + reg
@@ -176,8 +241,15 @@ def ccd_factorize(matrix, cfg: FactorizeConfig) -> LowRankFactors:
         obj = 0.5 * fit + reg * (float(np.einsum("ij,ij->", u, u)) + float(np.einsum("ij,ij->", v, v)))
         objectives.append(obj)
         if prev is not None and prev - obj <= cfg.ccd.tol * max(prev, 1e-30):
+            converged = True
             break
         prev = obj
+    if not converged:
+        log.warning(
+            "coordinate descent stopped at its %d-sweep cap above tol=%g",
+            cfg.ccd.max_sweeps,
+            cfg.ccd.tol,
+        )
 
     achieved = int(
         np.sum((np.linalg.norm(u, axis=0) > 0) & (np.linalg.norm(v, axis=1) > 0))
@@ -189,4 +261,5 @@ def ccd_factorize(matrix, cfg: FactorizeConfig) -> LowRankFactors:
         achieved_rank=achieved,
         residual=residual,
         objective_path=tuple(objectives),
+        converged=converged,
     )

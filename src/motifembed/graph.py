@@ -13,6 +13,9 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 
 
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
+
 class EdgeListParseError(ValueError):
     """A line of an edge-list input could not be parsed."""
 
@@ -237,6 +240,9 @@ def load_edge_list(
             b = int(tokens[1])
         except ValueError as exc:
             raise EdgeListParseError(line_no, f"malformed integer token: {exc}") from None
+        for label in (a, b):
+            if not _INT64_MIN <= label <= _INT64_MAX:
+                raise EdgeListParseError(line_no, f"node label {label} is outside the int64 range")
         if one_indexed and (a < 1 or b < 1):
             raise EdgeListParseError(line_no, f"node id {min(a, b)} invalid in one-indexed input")
         raw_u.append(a)

@@ -5,8 +5,9 @@ matrix, wrap the implicit k-step operator for the configured matrix kind,
 factorize it at the local rank, and column-normalize the left factors. The
 blocks are concatenated side by side in k-major order (all orbits for k=1,
 then k=2, ...), optionally followed by diffused node features, and the
-resulting wide matrix is factorized once more at the global rank. Rows of
-the global left factor are the node embeddings.
+resulting wide matrix is factorized once more at the global rank, by the
+exact minimizer of the regularized fusion objective. Rows of the global
+left factor are the node embeddings.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from motifembed.factorize import (
     FactorizeMethod,
     CcdOptions,
     ccd_factorize,
+    exact_factorize,
     normalize_columns,
     randomized_low_rank,
 )
@@ -67,7 +69,7 @@ class PipelineConfig:
     kind: MotifMatrixKind = MotifMatrixKind.WEIGHTED_GRAPH
     delta: int = 1
     diffusion: DiffusionConfig | None = None
-    global_method: FactorizeMethod = FactorizeMethod.CCD
+    global_method: FactorizeMethod = FactorizeMethod.EXACT
     oversample: int = 10
     power_iters: int = 2
     ccd: CcdOptions = field(default_factory=CcdOptions)
@@ -119,6 +121,7 @@ class GlobalEmbedding:
     basis: np.ndarray  # global rank x columns(Y)
     residual: float | None
     objective_path: tuple[float, ...] | None = None
+    converged: bool | None = None
 
 
 def _block_seed(seed: int, k: int, orbit: int) -> int:
@@ -196,25 +199,30 @@ def concatenate_embeddings(
 def global_embedding(
     conc: ConcatenatedEmbeddings,
     rank: int,
-    method: FactorizeMethod = FactorizeMethod.CCD,
+    method: FactorizeMethod = FactorizeMethod.EXACT,
     seed: int = 0,
     ccd: CcdOptions | None = None,
 ) -> GlobalEmbedding:
     """Factorize the concatenated matrix at the global rank.
 
-    The rank is clamped to the column count when the concatenation is
-    narrower than requested (tiny graphs).
+    The default method is the exact minimizer of the regularized fusion
+    objective (regularizer ``ccd.reg``); coordinate descent on the same
+    objective and randomized SVD stay selectable. The rank is clamped to the
+    column count when the concatenation is narrower than requested (tiny
+    graphs).
     """
     y = conc.matrix
     cols = y.shape[1]
     if rank > cols:
         log.warning("global rank %d clamped to %d columns", rank, cols)
         rank = cols
-    if method is not FactorizeMethod.CCD and rank > min(y.shape):
+    if method is FactorizeMethod.RANDOMIZED_SVD and rank > min(y.shape):
         log.warning("global rank %d clamped to %d for the randomized method", rank, min(y.shape))
         rank = min(y.shape)
     cfg = FactorizeConfig(rank=rank, seed=seed, ccd=ccd if ccd is not None else CcdOptions())
-    if method is FactorizeMethod.CCD:
+    if method is FactorizeMethod.EXACT:
+        factors = exact_factorize(y, cfg)
+    elif method is FactorizeMethod.CCD:
         factors = ccd_factorize(y, cfg)
     else:
         cfg = replace(cfg, oversample=max(0, min(cfg.oversample, min(y.shape) - rank)))
@@ -224,6 +232,7 @@ def global_embedding(
         basis=factors.V,
         residual=factors.residual,
         objective_path=factors.objective_path,
+        converged=factors.converged,
     )
 
 
@@ -328,6 +337,7 @@ def embed_graph(
             steps_default=cfg.max_steps,
         )
     conc = concatenate_embeddings(blocks, attributes)
+    del blocks, attributes  # conc holds the only copy the global step needs
     emb = global_embedding(
         conc,
         cfg.global_rank,

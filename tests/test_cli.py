@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from motifembed.cli import main, read_config_file
+from motifembed.cli import _write_vector_tsv, main, read_config_file
 
 
 @pytest.fixture
@@ -210,6 +210,35 @@ class TestEmbed:
                           capsys=capsys)
         assert code == 1
         assert "auto" in capsys.readouterr().err
+
+    def test_label_beyond_int64_is_a_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.edges"
+        path.write_text("0 1\n1 2\n2 99999999999999999999\n")
+        code, _ = run_cli(["embed", "--input", str(path), "--dl", "1", "--d", "2",
+                           "--k", "1", "--out", str(tmp_path / "z.tsv")], capsys=capsys)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "line 3" in err and "int64" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_vector_writer_matches_per_value_formatting(self):
+        import io
+
+        matrix = np.array(
+            [
+                [0.0, -0.0, 1e-300, -1e-300, 1.0 / 3.0],
+                [1e300, -1.7976931348623157e308, 123456789.12345678, 5e-324, 2.0],
+                [np.pi, -np.e, 1e16, 1e17, 0.1],
+            ]
+        )
+        labels = np.array([-7, 0, 2**62])
+        out = io.StringIO()
+        _write_vector_tsv(out, labels, matrix)
+        expect = "".join(
+            str(int(label)) + "\t" + "\t".join(format(x, ".17g") for x in row) + "\n"
+            for label, row in zip(labels, matrix)
+        )
+        assert out.getvalue() == expect
 
 
 class TestConfigPrecedence:

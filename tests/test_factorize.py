@@ -5,6 +5,7 @@ from motifembed.factorize import (
     CcdOptions,
     FactorizeConfig,
     ccd_factorize,
+    exact_factorize,
     normalize_columns,
     randomized_low_rank,
 )
@@ -163,3 +164,121 @@ def test_config_validation():
         CcdOptions(reg=-1.0)
     with pytest.raises(ValueError):
         CcdOptions(max_sweeps=0)
+
+
+# ------------------------------------------------------- exact fusion solver
+
+
+def _svd_optimum(y, rank, reg):
+    """½‖Y − UV‖² + reg(‖U‖² + ‖V‖²) at the soft-thresholded thin SVD."""
+    a, s, bt = np.linalg.svd(y, full_matrices=False)
+    root = np.sqrt(np.maximum(s[:rank] - 2.0 * reg, 0.0))
+    return _objective(y, a[:, :rank] * root, root[:, None] * bt[:rank], reg)
+
+
+def _objective(y, u, v, reg):
+    return 0.5 * np.linalg.norm(y - u @ v) ** 2 + reg * (
+        np.linalg.norm(u) ** 2 + np.linalg.norm(v) ** 2
+    )
+
+
+@pytest.mark.parametrize("shape", [(60, 25), (25, 60)])
+@pytest.mark.parametrize("reg", [0.0, 1e-4, 0.5])
+def test_exact_matches_svd_optimum(shape, reg):
+    y = np.random.default_rng(20).standard_normal(shape)
+    cfg = FactorizeConfig(rank=7, ccd=CcdOptions(reg=reg))
+    out = exact_factorize(y, cfg)
+    optimum = _svd_optimum(y, 7, reg)
+    assert out.U.shape == (shape[0], 7) and out.V.shape == (7, shape[1])
+    np.testing.assert_allclose(out.objective_path, (optimum,), rtol=1e-10)
+    np.testing.assert_allclose(_objective(y, out.U, out.V, reg), optimum, rtol=1e-10)
+    residual = np.linalg.norm(y - out.U @ out.V) / np.linalg.norm(y)
+    np.testing.assert_allclose(out.residual, residual, rtol=1e-8)
+    assert out.converged is True and out.achieved_rank == 7
+    # the regularizer splits each kept component evenly: ‖U col‖ = ‖V row‖
+    np.testing.assert_allclose(np.linalg.norm(out.U, axis=0), np.linalg.norm(out.V, axis=1))
+
+
+@pytest.mark.parametrize("shape", [(12, 5), (5, 12)])
+def test_exact_pads_rank_beyond_min_shape(shape):
+    y = np.random.default_rng(21).standard_normal(shape)
+    out = exact_factorize(y, FactorizeConfig(rank=9))
+    assert out.U.shape == (shape[0], 9) and out.V.shape == (9, shape[1])
+    assert out.achieved_rank == 5
+    np.testing.assert_array_equal(out.U[:, 5:], 0.0)
+    np.testing.assert_array_equal(out.V[5:], 0.0)
+    np.testing.assert_allclose(out.objective_path[0], _svd_optimum(y, 9, 1e-4), rtol=1e-10)
+
+
+def test_exact_zero_matrix():
+    out = exact_factorize(np.zeros((12, 9)), FactorizeConfig(rank=3))
+    np.testing.assert_array_equal(out.U, 0.0)
+    np.testing.assert_array_equal(out.V, 0.0)
+    assert out.objective_path == (0.0,) and out.residual == 0.0
+    assert out.achieved_rank == 0
+
+
+def test_exact_large_reg_zeroes_every_component():
+    y = np.random.default_rng(22).standard_normal((30, 20))
+    reg = np.linalg.norm(y, 2)  # 2·reg is above the largest singular value
+    out = exact_factorize(y, FactorizeConfig(rank=4, ccd=CcdOptions(reg=reg)))
+    np.testing.assert_array_equal(out.U, 0.0)
+    np.testing.assert_array_equal(out.V, 0.0)
+    assert out.achieved_rank == 0
+    np.testing.assert_allclose(out.objective_path[0], 0.5 * np.linalg.norm(y) ** 2, rtol=1e-12)
+    assert out.residual == pytest.approx(1.0)
+
+
+def test_exact_is_deterministic_and_accepts_sparse_input():
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(23)
+    y = rng.standard_normal((40, 30)) * (rng.random((40, 30)) < 0.3)
+    cfg = FactorizeConfig(rank=6)
+    a = exact_factorize(y, cfg)
+    b = exact_factorize(y, cfg)
+    assert a.U.tobytes() == b.U.tobytes() and a.V.tobytes() == b.V.tobytes()
+    c = exact_factorize(sp.csr_matrix(y), cfg)
+    np.testing.assert_allclose(c.U, a.U, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(50, 20), (20, 50)])
+def test_exact_sign_rule_survives_column_permutation(shape):
+    """Permuting Y's columns permutes the Gram matrix (or leaves Y Yᵀ as is);
+    the sign rule picks the same signs, so the factors only move columns."""
+    y = np.random.default_rng(24).standard_normal(shape)
+    perm = np.random.default_rng(25).permutation(shape[1])
+    cfg = FactorizeConfig(rank=5)
+    base = exact_factorize(y, cfg)
+    moved = exact_factorize(y[:, perm], cfg)
+    np.testing.assert_allclose(moved.U, base.U, atol=1e-10)
+    np.testing.assert_allclose(moved.V, base.V[:, perm], atol=1e-10)
+    pivots = np.abs(base.V).argmax(axis=1)
+    assert (base.V[np.arange(5), pivots] > 0).all()
+
+
+def test_ccd_approaches_the_exact_optimum():
+    y = np.random.default_rng(26).standard_normal((40, 30))
+    cfg = FactorizeConfig(rank=4, seed=1)
+    optimum = exact_factorize(y, cfg).objective_path[0]
+    gaps = []
+    for sweeps in (2, 20, 100, 400):
+        ccd = CcdOptions(reg=cfg.ccd.reg, max_sweeps=sweeps, tol=0.0)
+        final = ccd_factorize(y, FactorizeConfig(rank=4, seed=1, ccd=ccd)).objective_path[-1]
+        gaps.append((final - optimum) / optimum)
+    assert min(gaps) >= -1e-12  # never below the optimum
+    assert gaps == sorted(gaps, reverse=True)
+    # the last stretch is slow: U/V balance is pulled in only at rate ~reg
+    assert gaps[-1] <= 1e-4 and gaps[0] >= 100 * gaps[-1]
+
+
+def test_ccd_reports_its_sweep_cap(caplog):
+    y = np.random.default_rng(27).standard_normal((20, 15))
+    with caplog.at_level("WARNING", logger="motifembed.factorize"):
+        capped = ccd_factorize(y, FactorizeConfig(rank=3, ccd=CcdOptions(max_sweeps=2, tol=0.0)))
+    assert capped.converged is False
+    assert "sweep cap" in caplog.text
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="motifembed.factorize"):
+        done = ccd_factorize(np.zeros((6, 5)), FactorizeConfig(rank=2))
+    assert done.converged is True and not caplog.text
