@@ -359,9 +359,7 @@ def bench_scaling(
 
             t2 = time.perf_counter()
             conc = concatenate_embeddings(blocks)
-            emb = global_embedding(
-                conc, cfg.global_rank, method=cfg.global_method, seed=cfg.seed, ccd=cfg.ccd
-            )
+            emb = global_embedding(conc, cfg.global_rank, ccd=cfg.ccd)
             t_global = time.perf_counter() - t2
             total = time.perf_counter() - start
             del emb

@@ -107,14 +107,12 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
         raise ValueError("auc needs both classes present")
     order = np.argsort(scores, kind="mergesort")
     sorted_scores = scores[order]
+    # tie groups of the sorted scores, as [start, stop) index ranges
+    starts = np.flatnonzero(np.concatenate(([True], sorted_scores[1:] != sorted_scores[:-1])))
+    stops = np.append(starts[1:], labels.size)
     ranks = np.empty(labels.size, dtype=np.float64)
-    i = 0
-    while i < labels.size:
-        j = i
-        while j + 1 < labels.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average 1-based rank
-        i = j + 1
+    # every member of a group gets the group's average 1-based rank
+    ranks[order] = np.repeat(0.5 * (starts + stops - 1) + 1.0, stops - starts)
     rank_sum = float(ranks[pos].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -251,26 +249,6 @@ def _selection_subsample(labels: np.ndarray, fraction: float, rng: np.random.Gen
     return np.sort(np.concatenate([pos_idx[:take_p], neg_idx[:take_n]]))
 
 
-def train_logreg(
-    features: np.ndarray,
-    labels: np.ndarray,
-    lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID,
-    folds: int = 10,
-    seed: int = 0,
-) -> LogRegModel:
-    """Pick the L2 strength by cross-validated AUC on a 10% stratified
-    subsample, then refit on everything."""
-    labels = np.asarray(labels, dtype=np.float64)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5E)))
-    sub = _selection_subsample(labels, 0.1, rng)
-    best_reg, best_score = None, -np.inf
-    for reg in lambda_grid:
-        score = cross_val_auc(features[sub], labels[sub], reg, folds=folds, seed=seed)
-        if score > best_score:
-            best_reg, best_score = reg, score
-    return fit_logreg(features, labels, best_reg)
-
-
 # ---------------------------------------------------------------------------
 # experiment protocol
 
@@ -348,12 +326,6 @@ def evaluate_one_seed(g: Graph, cfg: EvalConfig, seed: int) -> SeedOutcome:
     _, chosen_steps, chosen_lambda, features = best
     final_auc = cross_val_auc(features, labels, chosen_lambda, folds=cfg.folds, seed=seed)
     return SeedOutcome(seed=seed, chosen_steps=chosen_steps, chosen_lambda=chosen_lambda, auc=final_auc)
-
-
-def select_k(g: Graph, cfg: EvalConfig, seed: int, step_grid: tuple[int, ...] = DEFAULT_STEP_GRID) -> int:
-    """Step count the protocol would choose for this graph and seed."""
-    outcome = evaluate_one_seed(g, replace(cfg, step_grid=tuple(step_grid)), seed)
-    return outcome.chosen_steps
 
 
 def run_experiment(g: Graph, cfg: EvalConfig, config_echo: str = "") -> EvalReport:

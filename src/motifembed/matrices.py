@@ -1,6 +1,6 @@
 """Motif-weighted matrices: build a sparse weight matrix from per-edge orbit
-counts, apply the five matrix kinds (weighted graph, transition, Laplacian
-and its two normalized forms), and the averaged/decayed multi-step variants.
+counts and apply the five matrix kinds (weighted graph, transition,
+Laplacian and its two normalized forms), all defined by one table.
 """
 
 from __future__ import annotations
@@ -13,9 +13,6 @@ import scipy.sparse as sp
 
 from motifembed.graph import Graph
 from motifembed.orbits import EdgeOrbitCounts
-
-_ACCUMULATE_NODE_CAP = 20_000
-_DENSE_ACCUMULATE_NODES = 4_000
 
 
 class MotifMatrixKind(Enum):
@@ -31,33 +28,6 @@ class MotifMatrixKind(Enum):
     LAPLACIAN = "l"
     NORMALIZED_LAPLACIAN = "lnorm"
     RANDOM_WALK_LAPLACIAN = "lrw"
-
-
-SYMMETRIC_KINDS = frozenset(
-    {
-        MotifMatrixKind.WEIGHTED_GRAPH,
-        MotifMatrixKind.LAPLACIAN,
-        MotifMatrixKind.NORMALIZED_LAPLACIAN,
-    }
-)
-
-
-class AccumulationMode(Enum):
-    AVERAGE_POWERS = "average-powers"
-    DECAYED_SUM = "decayed-sum"
-
-
-@dataclass(frozen=True)
-class AccumulationSpec:
-    steps: int
-    alpha: float = 1.0
-    mode: AccumulationMode = AccumulationMode.AVERAGE_POWERS
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -106,95 +76,41 @@ def motif_degrees(wg: MotifWeightedGraph | sp.spmatrix) -> np.ndarray:
     return np.asarray(mat.sum(axis=1)).ravel()
 
 
-def _kind_from_sparse(mat: sp.csr_matrix, kind: MotifMatrixKind) -> sp.csr_matrix:
-    """Apply one matrix kind to an already-built sparse weight matrix.
+def kind_form(deg: np.ndarray, kind: MotifMatrixKind):
+    """The one table of matrix kinds, as vectors over the row sums ``deg`` of
+    a symmetric weight matrix M.
 
-    Nodes with zero row sum get an all-zero row for every kind, including a
-    zero diagonal entry in both normalized Laplacians.
+    Returns ``(c, a, b)``: kind(M) is diag(c) - diag(a)·M·diag(b) for the
+    three Laplacians and diag(a)·M·diag(b) for w and p, so ``c`` is None
+    exactly for w and p. A scaling that would be all ones is None too, so no
+    kind multiplies by ones. Nodes with zero row sum get an all-zero row for
+    every kind, including a zero diagonal entry in both normalized
+    Laplacians.
     """
-    n = mat.shape[0]
     if kind is MotifMatrixKind.WEIGHTED_GRAPH:
-        return mat.copy()
-    deg = np.asarray(mat.sum(axis=1)).ravel()
+        return None, None, None
+    if kind is MotifMatrixKind.LAPLACIAN:
+        return deg, None, None
     nz = deg > 0
     inv = np.divide(1.0, deg, out=np.zeros_like(deg), where=nz)
     if kind is MotifMatrixKind.TRANSITION:
-        return (sp.diags(inv) @ mat).tocsr()
-    if kind is MotifMatrixKind.LAPLACIAN:
-        return (sp.diags(deg) - mat).tocsr()
+        return None, inv, None
     if kind is MotifMatrixKind.NORMALIZED_LAPLACIAN:
-        half = sp.diags(np.sqrt(inv))
-        return (sp.diags(nz.astype(np.float64)) - half @ mat @ half).tocsr()
+        half = np.sqrt(inv)
+        return nz.astype(np.float64), half, half
     if kind is MotifMatrixKind.RANDOM_WALK_LAPLACIAN:
-        return (sp.diags(nz.astype(np.float64)) - sp.diags(inv) @ mat).tocsr()
+        return nz.astype(np.float64), inv, None
     raise ValueError(f"unknown kind {kind!r}")
 
 
 def apply_matrix_kind(wg: MotifWeightedGraph, kind: MotifMatrixKind) -> sp.csr_matrix:
     """Turn a motif weight matrix into the requested matrix kind."""
-    return _kind_from_sparse(wg.matrix, kind)
-
-
-def accumulate(
-    wg: MotifWeightedGraph,
-    kind: MotifMatrixKind,
-    spec: AccumulationSpec,
-    node_cap: int = _ACCUMULATE_NODE_CAP,
-):
-    """Materialized multi-step combination over steps 1..K.
-
-    AVERAGE_POWERS: mean of M^l for M the weight or transition matrix (the
-    only kinds whose powers are meaningful to average directly).
-    DECAYED_SUM: mean of alpha^l * kind(W^l), rebuilding degrees from each
-    power's row sums.
-
-    Small inputs are computed densely; beyond ``node_cap`` nodes this errors
-    and callers should switch to the implicit operator form.
-    """
-    n = wg.num_nodes
-    if n > node_cap:
-        raise ValueError(
-            f"{n} nodes exceeds the materialization cap {node_cap}; use KStepOperator instead"
-        )
-    if spec.mode is AccumulationMode.AVERAGE_POWERS:
-        if kind not in (MotifMatrixKind.WEIGHTED_GRAPH, MotifMatrixKind.TRANSITION):
-            raise ValueError("average-powers is defined for the w and p kinds only")
-        base = _kind_from_sparse(wg.matrix, kind)
-        if n <= _DENSE_ACCUMULATE_NODES:
-            base = base.toarray()
-        power = base.copy()
-        acc = base.copy()
-        for _ in range(spec.steps - 1):
-            power = power @ base
-            acc = acc + power
-        return acc / spec.steps
-
-    weight = wg.matrix.toarray() if n <= _DENSE_ACCUMULATE_NODES else wg.matrix
-    power = weight.copy()
-    acc = spec.alpha * _apply_kind_any(power, kind)
-    for step in range(2, spec.steps + 1):
-        power = power @ weight
-        acc = acc + spec.alpha**step * _apply_kind_any(power, kind)
-    return acc / spec.steps
-
-
-def _apply_kind_any(mat, kind: MotifMatrixKind):
-    """Kind application that accepts dense or sparse input."""
-    if sp.issparse(mat):
-        return _kind_from_sparse(mat.tocsr(), kind)
-    n = mat.shape[0]
-    if kind is MotifMatrixKind.WEIGHTED_GRAPH:
-        return mat.copy()
-    deg = mat.sum(axis=1)
-    nz = deg > 0
-    inv = np.divide(1.0, deg, out=np.zeros_like(deg), where=nz)
-    if kind is MotifMatrixKind.TRANSITION:
-        return inv[:, None] * mat
-    if kind is MotifMatrixKind.LAPLACIAN:
-        return np.diag(deg) - mat
-    if kind is MotifMatrixKind.NORMALIZED_LAPLACIAN:
-        half = np.sqrt(inv)
-        return np.diag(nz.astype(np.float64)) - half[:, None] * mat * half[None, :]
-    if kind is MotifMatrixKind.RANDOM_WALK_LAPLACIAN:
-        return np.diag(nz.astype(np.float64)) - inv[:, None] * mat
-    raise ValueError(f"unknown kind {kind!r}")
+    c, a, b = kind_form(motif_degrees(wg), kind)
+    mat = wg.matrix
+    if a is not None:
+        mat = sp.diags(a) @ mat
+    if b is not None:
+        mat = mat @ sp.diags(b)
+    if c is not None:
+        mat = sp.diags(c) - mat
+    return sp.csr_matrix(mat, copy=True)

@@ -1,148 +1,68 @@
 """Implicit k-step operators over motif weight matrices.
 
-A k-step matrix is either kind(W^k) (raise first, then apply the matrix
-kind, rebuilding degrees from W^k row sums) or kind(W)^k (apply the kind
-once, then walk k steps). Neither form is materialized: one matvec costs k
-sparse base matvecs plus O(N) vector work.
+The k-step matrix of a kind is kind(W^k), with degrees rebuilt from the row
+sums of W^k, for w, l, lnorm and lrw, and P^k (k steps of the one-step
+transition matrix) for p, so every step stays row-stochastic. Neither form
+is materialized: one matvec costs k sparse base matvecs plus O(N) vector
+work.
 """
 
 from __future__ import annotations
-
-from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator
 
-from motifembed.matrices import (
-    MotifMatrixKind,
-    MotifWeightedGraph,
-    _apply_kind_any,
-    _kind_from_sparse,
-)
-
-
-class CompositionOrder(Enum):
-    POWER_THEN_KIND = "power-then-kind"
-    KIND_THEN_POWER = "kind-then-power"
-
-
-def default_order(kind: MotifMatrixKind) -> CompositionOrder:
-    """Transition composes kind-first so every step stays row-stochastic;
-    Laplacian kinds compose power-first so the result is a valid Laplacian
-    of the k-step weights; plain weights are order-indifferent."""
-    if kind is MotifMatrixKind.TRANSITION:
-        return CompositionOrder.KIND_THEN_POWER
-    return CompositionOrder.POWER_THEN_KIND
+from motifembed.matrices import MotifMatrixKind, MotifWeightedGraph, kind_form
 
 
 class KStepOperator(LinearOperator):
-    """Matrix-free k-step motif operator with matvec and transpose matvec."""
+    """Matrix-free k-step motif operator with matvec and transpose matvec.
 
-    def __init__(
-        self,
-        wg: MotifWeightedGraph,
-        kind: MotifMatrixKind,
-        k: int,
-        order: CompositionOrder | None = None,
-    ):
+    It applies :func:`~motifembed.matrices.kind_form` of M = W^k once, or for
+    the transition kind that of M = W, k times. W^k is symmetric, so the
+    transpose only swaps the two scalings.
+    """
+
+    def __init__(self, wg: MotifWeightedGraph, kind: MotifMatrixKind, k: int):
         if k < 1:
             raise ValueError("k must be >= 1")
-        if order is None:
-            order = default_order(kind)
-        if kind is MotifMatrixKind.TRANSITION and order is not CompositionOrder.KIND_THEN_POWER:
-            raise ValueError("the transition kind composes kind-first by definition")
         self.weights: sp.csr_matrix = wg.matrix
         self.kind = kind
         self.k = k
-        self.order = order
-        n = wg.num_nodes
+        walk = kind is MotifMatrixKind.TRANSITION
+        self._repeats, self._power = (k, 1) if walk else (1, k)
+        # row sums of W^power via matvecs against the all-ones vector
+        deg = np.ones(wg.num_nodes)
+        for _ in range(self._power):
+            deg = self.weights @ deg
+        self._c, self._a, self._b = kind_form(deg, kind)
+        super().__init__(dtype=np.float64, shape=self.weights.shape)
 
-        if order is CompositionOrder.KIND_THEN_POWER:
-            self._base = _kind_from_sparse(self.weights, kind)
-            deg = np.asarray(self.weights.sum(axis=1)).ravel()
-            self._inv_deg = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
-        else:
-            # row sums of W^k via k matvecs against the all-ones vector
-            s = np.ones(n)
-            for _ in range(k):
-                s = self.weights @ s
-            self._power_deg = s
-            nz = s > 0
-            self._nz_mask = nz.astype(np.float64)
-            self._inv_power = np.divide(1.0, s, out=np.zeros_like(s), where=nz)
-            self._inv_sqrt_power = np.sqrt(self._inv_power)
-        super().__init__(dtype=np.float64, shape=(n, n))
-
-    def _power_matmat(self, x: np.ndarray) -> np.ndarray:
-        y = x
-        for _ in range(self.k):
-            y = self.weights @ y
+    def _apply(self, x: np.ndarray, left, right) -> np.ndarray:
+        y = np.asarray(x, dtype=np.float64)
+        for _ in range(self._repeats):
+            z = y if right is None else right[:, None] * y
+            for _ in range(self._power):
+                z = self.weights @ z
+            if left is not None:
+                z = left[:, None] * z
+            y = z if self._c is None else self._c[:, None] * y - z
         return y
 
     def _matmat(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if self.order is CompositionOrder.KIND_THEN_POWER:
-            y = x
-            for _ in range(self.k):
-                y = self._base @ y
-            return y
-        kind = self.kind
-        if kind is MotifMatrixKind.WEIGHTED_GRAPH:
-            return self._power_matmat(x)
-        if kind is MotifMatrixKind.LAPLACIAN:
-            return self._power_deg[:, None] * x - self._power_matmat(x)
-        if kind is MotifMatrixKind.NORMALIZED_LAPLACIAN:
-            scaled = self._power_matmat(self._inv_sqrt_power[:, None] * x)
-            return self._nz_mask[:, None] * x - self._inv_sqrt_power[:, None] * scaled
-        if kind is MotifMatrixKind.RANDOM_WALK_LAPLACIAN:
-            return self._nz_mask[:, None] * x - self._inv_power[:, None] * self._power_matmat(x)
-        raise ValueError(f"unknown kind {kind!r}")
+        return self._apply(x, self._a, self._b)
 
     def _rmatmat(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if self.order is CompositionOrder.POWER_THEN_KIND:
-            kind = self.kind
-            if kind is MotifMatrixKind.RANDOM_WALK_LAPLACIAN:
-                # (I_nz - D~^-1 W^k)^T x = nz*x - W^k (D~^-1 x), W^k symmetric
-                return self._nz_mask[:, None] * x - self._power_matmat(self._inv_power[:, None] * x)
-            return self._matmat(x)  # the other power-first kinds are symmetric
-        if self.kind is MotifMatrixKind.TRANSITION:
-            # P^T x = W (D^-1 x), iterated k times
-            y = x
-            for _ in range(self.k):
-                y = self.weights @ (self._inv_deg[:, None] * y)
-            return y
-        if self.kind is MotifMatrixKind.RANDOM_WALK_LAPLACIAN:
-            nz = (np.asarray(self.weights.sum(axis=1)).ravel() > 0).astype(np.float64)
-            y = x
-            for _ in range(self.k):
-                y = nz[:, None] * y - self.weights @ (self._inv_deg[:, None] * y)
-            return y
-        # symmetric kinds: kind(W)^k is symmetric too
-        return self._matmat(x)
+        return self._apply(x, self._b, self._a)
 
-    def _adjoint(self):
-        return _TransposedKStep(self)
+    def _rmatvec(self, x: np.ndarray) -> np.ndarray:
+        # older scipy releases do not fall back from rmatvec to _rmatmat
+        return self._rmatmat(x.reshape(-1, 1)).ravel()
 
     def to_dense(self) -> np.ndarray:
         """Materialize the operator; for tests and small graphs only."""
         return self._matmat(np.eye(self.shape[0]))
-
-
-class _TransposedKStep(LinearOperator):
-    def __init__(self, parent: KStepOperator):
-        self._parent = parent
-        super().__init__(dtype=parent.dtype, shape=(parent.shape[1], parent.shape[0]))
-
-    def _matmat(self, x):
-        return self._parent._rmatmat(x)
-
-    def _rmatmat(self, x):
-        return self._parent._matmat(x)
-
-    def _adjoint(self):
-        return self._parent
 
 
 def matvec_kstep(op: KStepOperator, x: np.ndarray) -> np.ndarray:
@@ -155,12 +75,28 @@ def transpose_matvec_kstep(op: KStepOperator, x: np.ndarray) -> np.ndarray:
     return op.rmatvec(np.asarray(x, dtype=np.float64))
 
 
-def dense_kstep(wg: MotifWeightedGraph, kind: MotifMatrixKind, k: int, order: CompositionOrder | None = None) -> np.ndarray:
+def _dense_kind(mat: np.ndarray, kind: MotifMatrixKind) -> np.ndarray:
+    """Textbook dense form of one matrix kind, independent of the kind table."""
+    if kind is MotifMatrixKind.WEIGHTED_GRAPH:
+        return mat.copy()
+    deg = mat.sum(axis=1)
+    nz = deg > 0
+    inv = np.divide(1.0, deg, out=np.zeros_like(deg), where=nz)
+    if kind is MotifMatrixKind.TRANSITION:
+        return inv[:, None] * mat
+    if kind is MotifMatrixKind.LAPLACIAN:
+        return np.diag(deg) - mat
+    if kind is MotifMatrixKind.NORMALIZED_LAPLACIAN:
+        half = np.sqrt(inv)
+        return np.diag(nz.astype(np.float64)) - half[:, None] * mat * half[None, :]
+    if kind is MotifMatrixKind.RANDOM_WALK_LAPLACIAN:
+        return np.diag(nz.astype(np.float64)) - inv[:, None] * mat
+    raise ValueError(f"unknown kind {kind!r}")
+
+
+def dense_kstep(wg: MotifWeightedGraph, kind: MotifMatrixKind, k: int) -> np.ndarray:
     """Dense reference for the same k-step matrix, built by explicit powers."""
-    if order is None:
-        order = default_order(kind)
     w = wg.matrix.toarray()
-    if order is CompositionOrder.KIND_THEN_POWER:
-        base = _apply_kind_any(w, kind)
-        return np.linalg.matrix_power(base, k)
-    return _apply_kind_any(np.linalg.matrix_power(w, k), kind)
+    if kind is MotifMatrixKind.TRANSITION:
+        return np.linalg.matrix_power(_dense_kind(w, kind), k)
+    return _dense_kind(np.linalg.matrix_power(w, k), kind)

@@ -13,17 +13,14 @@ left factor are the node embeddings.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-import scipy.sparse as sp
 
 from motifembed.factorize import (
-    FactorizeConfig,
-    FactorizeMethod,
     CcdOptions,
-    ccd_factorize,
+    FactorizeConfig,
     exact_factorize,
     normalize_columns,
     randomized_low_rank,
@@ -39,7 +36,7 @@ ALL_ORBITS = tuple(range(1, NUM_ORBITS + 1))
 
 
 class DiffusionVariant(Enum):
-    LINEAR = "linear"  # step l multiplies by kind(W^l)
+    LINEAR = "linear"  # step l multiplies by the k-step matrix at k = l
     TRANSITION_WALK = "transition"  # step l multiplies by the transition matrix
     THETA_SMOOTHING = "theta"  # mix smoothed features with the originals
 
@@ -69,7 +66,6 @@ class PipelineConfig:
     kind: MotifMatrixKind = MotifMatrixKind.WEIGHTED_GRAPH
     delta: int = 1
     diffusion: DiffusionConfig | None = None
-    global_method: FactorizeMethod = FactorizeMethod.EXACT
     oversample: int = 10
     power_iters: int = 2
     ccd: CcdOptions = field(default_factory=CcdOptions)
@@ -199,34 +195,21 @@ def concatenate_embeddings(
 def global_embedding(
     conc: ConcatenatedEmbeddings,
     rank: int,
-    method: FactorizeMethod = FactorizeMethod.EXACT,
-    seed: int = 0,
     ccd: CcdOptions | None = None,
 ) -> GlobalEmbedding:
     """Factorize the concatenated matrix at the global rank.
 
-    The default method is the exact minimizer of the regularized fusion
-    objective (regularizer ``ccd.reg``); coordinate descent on the same
-    objective and randomized SVD stay selectable. The rank is clamped to the
-    column count when the concatenation is narrower than requested (tiny
-    graphs).
+    The factors are the exact minimizer of the regularized fusion objective
+    (regularizer ``ccd.reg``). The rank is clamped to the column count when
+    the concatenation is narrower than requested (tiny graphs).
     """
     y = conc.matrix
     cols = y.shape[1]
     if rank > cols:
         log.warning("global rank %d clamped to %d columns", rank, cols)
         rank = cols
-    if method is FactorizeMethod.RANDOMIZED_SVD and rank > min(y.shape):
-        log.warning("global rank %d clamped to %d for the randomized method", rank, min(y.shape))
-        rank = min(y.shape)
-    cfg = FactorizeConfig(rank=rank, seed=seed, ccd=ccd if ccd is not None else CcdOptions())
-    if method is FactorizeMethod.EXACT:
-        factors = exact_factorize(y, cfg)
-    elif method is FactorizeMethod.CCD:
-        factors = ccd_factorize(y, cfg)
-    else:
-        cfg = replace(cfg, oversample=max(0, min(cfg.oversample, min(y.shape) - rank)))
-        factors = randomized_low_rank(y, cfg)
+    cfg = FactorizeConfig(rank=rank, ccd=ccd if ccd is not None else CcdOptions())
+    factors = exact_factorize(y, cfg)
     return GlobalEmbedding(
         nodes=factors.U,
         basis=factors.V,
@@ -234,34 +217,6 @@ def global_embedding(
         objective_path=factors.objective_path,
         converged=factors.converged,
     )
-
-
-def _apply_power_kind(weights: sp.csr_matrix, kind: MotifMatrixKind, k: int, x: np.ndarray) -> np.ndarray:
-    """kind(W^k) @ x without materializing W^k (degrees rebuilt from W^k)."""
-    power_deg = np.ones(weights.shape[0])
-    for _ in range(k):
-        power_deg = weights @ power_deg
-    nz = power_deg > 0
-    inv = np.divide(1.0, power_deg, out=np.zeros_like(power_deg), where=nz)
-
-    def power(v):
-        y = v
-        for _ in range(k):
-            y = weights @ y
-        return y
-
-    if kind is MotifMatrixKind.WEIGHTED_GRAPH:
-        return power(x)
-    if kind is MotifMatrixKind.TRANSITION:
-        return inv[:, None] * power(x)
-    if kind is MotifMatrixKind.LAPLACIAN:
-        return power_deg[:, None] * x - power(x)
-    if kind is MotifMatrixKind.NORMALIZED_LAPLACIAN:
-        half = np.sqrt(inv)
-        return nz[:, None] * x - half[:, None] * power(half[:, None] * x)
-    if kind is MotifMatrixKind.RANDOM_WALK_LAPLACIAN:
-        return nz[:, None] * x - inv[:, None] * power(x)
-    raise ValueError(f"unknown kind {kind!r}")
 
 
 def diffuse_attributes(
@@ -276,11 +231,12 @@ def diffuse_attributes(
 ) -> np.ndarray:
     """Propagate node features through each orbit's motif structure.
 
-    LINEAR: step l multiplies by kind(W^l). TRANSITION_WALK: every step
-    multiplies by the one-step transition matrix (zero motif-degree rows stay
-    zero). THETA_SMOOTHING: every step mixes the normalized-Laplacian
-    smoothed features with the originals at weight theta. Per-orbit results
-    are concatenated and column-normalized.
+    LINEAR: step l multiplies by the k-step matrix of ``kind`` at k = l
+    (kind(W^l), or P^l for the transition kind; see :class:`KStepOperator`).
+    TRANSITION_WALK: every step multiplies by the one-step transition matrix
+    (zero motif-degree rows stay zero). THETA_SMOOTHING: every step mixes the
+    normalized-Laplacian smoothed features with the originals at weight
+    theta. Per-orbit results are concatenated and column-normalized.
     """
     if features.shape[0] != g.num_nodes:
         raise ValueError("feature rows must match node count")
@@ -288,19 +244,16 @@ def diffuse_attributes(
     parts = []
     for orbit in orbits:
         wg = build_motif_weight_matrix(g, counts, orbit, delta)
-        current = features.astype(np.float64, copy=True)
+        current = np.asarray(features, dtype=np.float64)
         if dcfg.variant is DiffusionVariant.LINEAR:
             for step in range(1, steps + 1):
-                current = _apply_power_kind(wg.matrix, kind, step, current)
+                current = KStepOperator(wg, kind, step).matmat(current)
         elif dcfg.variant is DiffusionVariant.TRANSITION_WALK:
-            for _ in range(steps):
-                current = _apply_power_kind(wg.matrix, MotifMatrixKind.TRANSITION, 1, current)
+            current = KStepOperator(wg, MotifMatrixKind.TRANSITION, steps).matmat(current)
         else:
+            smooth = KStepOperator(wg, MotifMatrixKind.NORMALIZED_LAPLACIAN, 1)
             for _ in range(steps):
-                smoothed = _apply_power_kind(
-                    wg.matrix, MotifMatrixKind.NORMALIZED_LAPLACIAN, 1, current
-                )
-                current = (1.0 - dcfg.theta) * smoothed + dcfg.theta * features
+                current = (1.0 - dcfg.theta) * smooth.matmat(current) + dcfg.theta * features
         parts.append(current)
     return normalize_columns(np.hstack(parts))
 
@@ -338,11 +291,5 @@ def embed_graph(
         )
     conc = concatenate_embeddings(blocks, attributes)
     del blocks, attributes  # conc holds the only copy the global step needs
-    emb = global_embedding(
-        conc,
-        cfg.global_rank,
-        method=cfg.global_method,
-        seed=_block_seed(cfg.seed, 0, 0),
-        ccd=cfg.ccd,
-    )
+    emb = global_embedding(conc, cfg.global_rank, ccd=cfg.ccd)
     return PipelineResult(embedding=emb, concatenated=conc, counts=counts, config=cfg)

@@ -145,6 +145,20 @@ def test_ccd_determinism():
     assert a.objective_path == b.objective_path
 
 
+def test_ccd_residual_invariant_under_row_permutation():
+    # coordinate descent starts from row-indexed random factors, so only the
+    # reached quality is comparable, not the iterates
+    rng = np.random.default_rng(5)
+    u, _ = np.linalg.qr(rng.normal(size=(25, 12)))
+    v, _ = np.linalg.qr(rng.normal(size=(18, 12)))
+    y = u @ np.diag(0.6 ** np.arange(12)) @ v.T
+    perm = np.random.default_rng(9).permutation(y.shape[0])
+    cfg = FactorizeConfig(rank=6, seed=3)
+    c1 = ccd_factorize(y, cfg).residual
+    c2 = ccd_factorize(y[perm], cfg).residual
+    assert abs(c1 - c2) <= 0.15 * max(c1, c2)
+
+
 def test_ccd_sparse_input():
     import scipy.sparse as sp
 

@@ -6,19 +6,16 @@ from hypothesis import strategies as st
 from motifembed.generators import complete_graph, erdos_renyi, path_graph, star_graph
 from motifembed.graph import Graph
 from motifembed.matrices import (
-    AccumulationMode,
-    AccumulationSpec,
     MotifMatrixKind,
-    accumulate,
     apply_matrix_kind,
     build_motif_weight_matrix,
+    kind_form,
     motif_degrees,
 )
 from motifembed.orbits import count_edge_orbits
 
 TRIANGLE = complete_graph(3)
 TRI_COUNTS = count_edge_orbits(TRIANGLE)
-ALL_KINDS = list(MotifMatrixKind)
 
 
 def wg_for(g, orbit, delta=1, counts=None):
@@ -144,73 +141,20 @@ def test_delta_monotonicity(seed, orbit):
         last = nnz
 
 
-def test_accumulate_single_step_is_plain_kind():
-    wg = wg_for(TRIANGLE, 3)
-    for kind in ALL_KINDS:
-        for mode in AccumulationMode:
-            if mode is AccumulationMode.AVERAGE_POWERS and kind not in (
-                MotifMatrixKind.WEIGHTED_GRAPH,
-                MotifMatrixKind.TRANSITION,
-            ):
-                continue
-            got = accumulate(wg, kind, AccumulationSpec(steps=1, alpha=1.0, mode=mode))
-            got = got.toarray() if hasattr(got, "toarray") else got
-            np.testing.assert_allclose(got, apply_matrix_kind(wg, kind).toarray(), atol=1e-14)
-
-
-def test_accumulate_transition_two_step_triangle():
-    wg = wg_for(TRIANGLE, 3)
-    spec = AccumulationSpec(steps=2, mode=AccumulationMode.AVERAGE_POWERS)
-    got = accumulate(wg, MotifMatrixKind.TRANSITION, spec)
-    got = got.toarray() if hasattr(got, "toarray") else got
-    np.testing.assert_allclose(np.diag(got), 0.25)
-    np.testing.assert_allclose(got[~np.eye(3, dtype=bool)], 0.375)
-    np.testing.assert_allclose(got.sum(axis=1), 1.0)
-
-
-def test_accumulated_transition_stays_stochastic():
-    g = erdos_renyi(30, 0.25, seed=12)
-    wg = wg_for(g, 1)
-    for steps in (2, 3, 4):
-        spec = AccumulationSpec(steps=steps, mode=AccumulationMode.AVERAGE_POWERS)
-        acc = accumulate(wg, MotifMatrixKind.TRANSITION, spec)
-        acc = acc.toarray() if hasattr(acc, "toarray") else acc
-        np.testing.assert_allclose(acc.sum(axis=1), 1.0, atol=1e-12)
-
-
-def test_accumulate_average_powers_rejects_laplacians():
-    wg = wg_for(TRIANGLE, 3)
-    spec = AccumulationSpec(steps=2, mode=AccumulationMode.AVERAGE_POWERS)
-    for kind in (
-        MotifMatrixKind.LAPLACIAN,
-        MotifMatrixKind.NORMALIZED_LAPLACIAN,
-        MotifMatrixKind.RANDOM_WALK_LAPLACIAN,
-    ):
-        with pytest.raises(ValueError, match="average-powers"):
-            accumulate(wg, kind, spec)
-
-
-def test_accumulate_decayed_sum_matches_dense_formula():
-    g = erdos_renyi(15, 0.4, seed=4)
-    wg = wg_for(g, 1)
-    w = wg.matrix.toarray()
-    alpha = 0.5
-    spec = AccumulationSpec(steps=2, alpha=alpha, mode=AccumulationMode.DECAYED_SUM)
-    got = accumulate(wg, MotifMatrixKind.WEIGHTED_GRAPH, spec)
-    got = got.toarray() if hasattr(got, "toarray") else got
-    np.testing.assert_allclose(got, (alpha * w + alpha**2 * (w @ w)) / 2, atol=1e-12)
-
-
-def test_accumulate_node_cap():
-    wg = wg_for(TRIANGLE, 3)
-    with pytest.raises(ValueError, match="cap"):
-        accumulate(wg, MotifMatrixKind.TRANSITION, AccumulationSpec(steps=2), node_cap=2)
-
-
-def test_accumulation_spec_validation():
-    with pytest.raises(ValueError):
-        AccumulationSpec(steps=0)
-    with pytest.raises(ValueError):
-        AccumulationSpec(steps=1, alpha=0.0)
-    with pytest.raises(ValueError):
-        AccumulationSpec(steps=1, alpha=1.5)
+def test_kind_form_leaves_out_absent_terms():
+    deg = np.array([2.0, 0.0, 4.0])
+    c, a, b = kind_form(deg, MotifMatrixKind.WEIGHTED_GRAPH)
+    assert (c, a, b) == (None, None, None)
+    c, a, b = kind_form(deg, MotifMatrixKind.TRANSITION)
+    assert c is None and b is None
+    np.testing.assert_array_equal(a, [0.5, 0.0, 0.25])
+    c, a, b = kind_form(deg, MotifMatrixKind.LAPLACIAN)
+    assert c is deg and a is None and b is None
+    c, a, b = kind_form(deg, MotifMatrixKind.NORMALIZED_LAPLACIAN)
+    np.testing.assert_array_equal(c, [1.0, 0.0, 1.0])
+    np.testing.assert_array_equal(a, [np.sqrt(0.5), 0.0, 0.5])
+    assert b is a
+    c, a, b = kind_form(deg, MotifMatrixKind.RANDOM_WALK_LAPLACIAN)
+    np.testing.assert_array_equal(c, [1.0, 0.0, 1.0])
+    np.testing.assert_array_equal(a, [0.5, 0.0, 0.25])
+    assert b is None

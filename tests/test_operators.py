@@ -4,9 +4,7 @@ import pytest
 from motifembed.generators import complete_graph, erdos_renyi
 from motifembed.matrices import MotifMatrixKind, apply_matrix_kind, build_motif_weight_matrix
 from motifembed.operators import (
-    CompositionOrder,
     KStepOperator,
-    default_order,
     dense_kstep,
     matvec_kstep,
     transpose_matvec_kstep,
@@ -18,23 +16,6 @@ ALL_KINDS = list(MotifMatrixKind)
 
 def wg_for(g, orbit=1, delta=1):
     return build_motif_weight_matrix(g, count_edge_orbits(g), orbit, delta)
-
-
-def test_default_orders():
-    assert default_order(MotifMatrixKind.TRANSITION) is CompositionOrder.KIND_THEN_POWER
-    for kind in (
-        MotifMatrixKind.WEIGHTED_GRAPH,
-        MotifMatrixKind.LAPLACIAN,
-        MotifMatrixKind.NORMALIZED_LAPLACIAN,
-        MotifMatrixKind.RANDOM_WALK_LAPLACIAN,
-    ):
-        assert default_order(kind) is CompositionOrder.POWER_THEN_KIND
-
-
-def test_transition_rejects_power_first():
-    wg = wg_for(complete_graph(3), orbit=3)
-    with pytest.raises(ValueError, match="transition"):
-        KStepOperator(wg, MotifMatrixKind.TRANSITION, 2, order=CompositionOrder.POWER_THEN_KIND)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -57,23 +38,12 @@ def test_operator_matches_dense(kind, k, seed):
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
-def test_forced_alternate_order_matches_its_dense_form(kind):
-    # both composition orders are legal for every non-transition kind
-    if kind is MotifMatrixKind.TRANSITION:
-        return
-    g = erdos_renyi(30, 0.25, seed=9)
-    wg = wg_for(g)
-    for order in CompositionOrder:
-        op = KStepOperator(wg, kind, 3, order=order)
-        np.testing.assert_allclose(op.to_dense(), dense_kstep(wg, kind, 3, order=order), atol=1e-9)
-
-
-@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_single_step_equals_plain_kind(kind):
     g = erdos_renyi(25, 0.3, seed=4)
     wg = wg_for(g, orbit=2)
     op = KStepOperator(wg, kind, 1)
     plain = apply_matrix_kind(wg, kind).toarray()
+    np.testing.assert_allclose(plain, dense_kstep(wg, kind, 1), atol=1e-14)
     x = np.random.default_rng(0).standard_normal(g.num_nodes)
     np.testing.assert_allclose(matvec_kstep(op, x), plain @ x, atol=1e-12 * max(np.abs(plain).max(), 1))
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from motifembed.factorize import FactorizeMethod, normalize_columns
+from motifembed.factorize import CcdOptions, normalize_columns
 from motifembed.generators import complete_graph, erdos_renyi
 from motifembed.graph import Graph
-from motifembed.matrices import MotifMatrixKind
+from motifembed.matrices import MotifMatrixKind, build_motif_weight_matrix
+from motifembed.operators import dense_kstep
 from motifembed.orbits import NUM_ORBITS, count_edge_orbits, node_motif_features
 from motifembed.pipeline import (
     ColumnBlock,
@@ -108,7 +109,7 @@ def test_block_seeds_are_distinct_across_blocks():
 
 def test_global_embedding_exact_rank_recovery():
     y = spectrum_matrix(rank=8)
-    emb = global_embedding(wrap(y), 8, method=FactorizeMethod.RANDOMIZED_SVD, seed=3)
+    emb = global_embedding(wrap(y), 8, ccd=CcdOptions(reg=0.0))
     assert emb.residual <= 1e-6
     np.testing.assert_allclose(emb.nodes @ emb.basis, y, atol=1e-8)
 
@@ -116,7 +117,7 @@ def test_global_embedding_exact_rank_recovery():
 def test_global_residual_nonincreasing_in_rank():
     y = spectrum_matrix()
     residuals = [
-        global_embedding(wrap(y), d, method=FactorizeMethod.RANDOMIZED_SVD, seed=3).residual
+        global_embedding(wrap(y), d).residual
         for d in (2, 4, 8)
     ]
     assert residuals[0] >= residuals[1] >= residuals[2]
@@ -125,26 +126,21 @@ def test_global_residual_nonincreasing_in_rank():
 def test_global_residual_invariant_under_row_permutation():
     y = spectrum_matrix()
     perm = np.random.default_rng(9).permutation(y.shape[0])
-    r1 = global_embedding(wrap(y), 6, method=FactorizeMethod.RANDOMIZED_SVD, seed=3).residual
-    r2 = global_embedding(wrap(y[perm]), 6, method=FactorizeMethod.RANDOMIZED_SVD, seed=3).residual
+    r1 = global_embedding(wrap(y), 6).residual
+    r2 = global_embedding(wrap(y[perm]), 6).residual
     assert abs(r1 - r2) <= 1e-12 * (1.0 + r1)
-    # coordinate descent starts from row-indexed random factors, so only the
-    # reached quality is comparable, not the iterates
-    c1 = global_embedding(wrap(y), 6, method=FactorizeMethod.CCD, seed=3).residual
-    c2 = global_embedding(wrap(y[perm]), 6, method=FactorizeMethod.CCD, seed=3).residual
-    assert abs(c1 - c2) <= 0.15 * max(c1, c2)
 
 
 def test_duplicated_column_block_preserves_node_similarity_structure():
     y = spectrum_matrix()
-    e1 = global_embedding(wrap(y), 8, method=FactorizeMethod.RANDOMIZED_SVD, seed=3)
-    e2 = global_embedding(
-        wrap(np.hstack([y, y])), 8, method=FactorizeMethod.RANDOMIZED_SVD, seed=3
-    )
+    exact = CcdOptions(reg=0.0)
+    e1 = global_embedding(wrap(y), 8, ccd=exact)
+    e2 = global_embedding(wrap(np.hstack([y, y])), 8, ccd=exact)
     g1 = e1.nodes @ e1.nodes.T
     g2 = e2.nodes @ e2.nodes.T
-    # same column space, every singular value scaled by sqrt(2)
-    np.testing.assert_allclose(g2, 2.0 * g1, atol=1e-10 * np.abs(g1).max())
+    # same column space, every singular value scaled by sqrt(2); the exact
+    # split puts sqrt(s) of each singular value s into the node factor
+    np.testing.assert_allclose(g2, np.sqrt(2.0) * g1, atol=1e-10 * np.abs(g1).max())
 
 
 def test_global_rank_clamps_to_column_count():
@@ -187,6 +183,22 @@ def test_linear_diffusion_applies_growing_powers():
     )
     expect = normalize_columns(np.array([[2.0], [3.0], [3.0]]))
     np.testing.assert_allclose(out, expect, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", list(MotifMatrixKind))
+def test_linear_diffusion_applies_the_kstep_matrices(kind):
+    # step l multiplies by the same k-step matrix the local blocks use at k = l
+    g = erdos_renyi(20, 0.3, seed=3)
+    counts = count_edge_orbits(g)
+    x = np.random.default_rng(1).normal(size=(20, 2))
+    out = diffuse_attributes(
+        g, counts, x, DiffusionConfig(DiffusionVariant.LINEAR, steps=3), orbits=(2,), kind=kind
+    )
+    wg = build_motif_weight_matrix(g, counts, 2)
+    expect = x
+    for step in (1, 2, 3):
+        expect = dense_kstep(wg, kind, step) @ expect
+    np.testing.assert_allclose(out, normalize_columns(expect), atol=1e-10)
 
 
 def test_theta_one_is_a_fixed_point():

@@ -1,0 +1,36 @@
+"""The benchmark's tracer (perfbench/spans.py) still finds the layers it times."""
+
+import importlib.util
+from pathlib import Path
+
+import motifembed.pipeline as pipeline
+from motifembed.generators import erdos_renyi
+from motifembed.matrices import MotifMatrixKind
+
+SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_records_the_traced_layers():
+    spans = load_spans()
+    g = erdos_renyi(30, 0.25, seed=2)
+    cfg = pipeline.PipelineConfig(
+        max_steps=2,
+        local_rank=4,
+        global_rank=16,
+        kind=MotifMatrixKind.NORMALIZED_LAPLACIAN,
+        diffusion=pipeline.DiffusionConfig(pipeline.DiffusionVariant.LINEAR),
+    )
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        pipeline.embed_graph(g, cfg)
+    metrics = spans.layer_metrics(tracer)
+    for name in ("operators.matmat_calls", "matrices.build_calls", "pipeline.diffuse_s", "pipeline.global_s"):
+        assert metrics[name] > 0, name
+    assert len(tracer.embeddings) == 1
