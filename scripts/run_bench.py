@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Time the embedding pipeline on random graphs of growing size and print
-the per-stage table plus the fitted log-log slope of total time."""
+the per-stage table, the fitted log-log slope of total time and the
+process's peak resident set size."""
 
 import argparse
+import resource
 
 import numpy as np
 
@@ -19,14 +21,12 @@ def main() -> int:
     ap.add_argument("--d", type=int, default=128)
     ap.add_argument("--k", type=int, default=2)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
     sizes = tuple(int(t) for t in args.sizes.split(",") if t)
     cfg = PipelineConfig(max_steps=args.k, local_rank=args.dl,
                          global_rank=args.d, seed=args.seed)
-    rows = bench_scaling(sizes, args.avg_degree, cfg,
-                         workers=args.workers, seed=args.seed)
+    rows = bench_scaling(sizes, args.avg_degree, cfg, seed=args.seed)
 
     print(f"{'n':>8} {'edges':>9} {'generate':>9} {'count':>9} "
           f"{'local':>9} {'global':>9} {'total':>9}")
@@ -43,6 +43,9 @@ def main() -> int:
         slope = np.polyfit(np.log([r["n"] for r in clean]),
                            np.log([r["total_s"] for r in clean]), 1)[0]
         print(f"log-log slope of total time: {slope:.3f}")
+    # ru_maxrss is in KiB on Linux
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print(f"peak RSS: {peak_kib / 1024:.1f} MiB")
     return 0
 
 

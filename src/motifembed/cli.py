@@ -24,15 +24,7 @@ from motifembed.generators import erdos_renyi_average_degree
 from motifembed.graph import load_edge_list
 from motifembed.matrices import MotifMatrixKind, apply_matrix_kind, build_motif_weight_matrix
 from motifembed.orbits import NUM_ORBITS, count_edge_orbits
-from motifembed.pipeline import (
-    DiffusionConfig,
-    DiffusionVariant,
-    PipelineConfig,
-    concatenate_embeddings,
-    embed_graph,
-    global_embedding,
-    local_embeddings,
-)
+from motifembed.pipeline import DiffusionConfig, DiffusionVariant, PipelineConfig, embed_graph
 
 log = logging.getLogger("motifembed.cli")
 
@@ -216,7 +208,7 @@ def cmd_count_orbits(args: argparse.Namespace) -> int:
     g, input_echo = load_input_graph(args)
     workers = resolve(args, "workers", 1, parse=int)
     seed = resolve_seed(args)
-    counts = count_edge_orbits(g, workers=workers)
+    counts = count_edge_orbits(g)
     resolved = {**input_echo, "workers": workers, "seed": seed}
     with open_out(resolve(args, "out", None)) as out:
         write_header(out, "count-orbits", resolved)
@@ -255,13 +247,14 @@ def cmd_motif_matrix(args: argparse.Namespace) -> int:
     comment = header_dict("motif-matrix", resolved)
     out_path = resolve(args, "out", None)
     # MatrixMarket banner must stay on line one; the config echo follows as
-    # '%' comment lines, so the file still opens with a pure comment block
+    # '%' comment lines, so the file still opens with a pure comment block.
+    # A path goes to mmwrite as an open file, which stops scipy from
+    # appending .mtx to a bare name.
     if out_path is None:
         scipy.io.mmwrite(sys.stdout.buffer if hasattr(sys.stdout, "buffer") else sys.stdout, matrix, comment=comment)
     else:
-        scipy.io.mmwrite(out_path, matrix, comment=comment)
-        if not out_path.endswith(".mtx") and not os.path.exists(out_path):
-            os.rename(out_path + ".mtx", out_path)  # scipy appends .mtx to bare names
+        with open(out_path, "wb") as fh:
+            scipy.io.mmwrite(fh, matrix, comment=comment)
     return 0
 
 
@@ -278,7 +271,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     seed = resolve_seed(args)
     workers = resolve(args, "workers", 1, parse=int)
     cfg, cfg_echo = pipeline_from_args(args, steps, seed)
-    result = embed_graph(g, cfg, workers=workers)
+    result = embed_graph(g, cfg)
     resolved = {**input_echo, **cfg_echo, "k": steps, "seed": seed, "workers": workers}
     with open_out(resolve(args, "out", None)) as out:
         write_header(out, "embed", resolved)
@@ -328,15 +321,15 @@ def bench_scaling(
     sizes: tuple[int, ...],
     avg_degree: float = 10.0,
     cfg: PipelineConfig | None = None,
-    workers: int = 1,
     seed: int = 0,
 ) -> list[dict]:
     """Time each pipeline stage on random graphs of growing size.
 
     One row per size: node/edge counts plus wall seconds for graph
-    generation, orbit counting, local factorization, the global step, and
-    the end-to-end pipeline total (generation excluded). A failing size is
-    reported and the remaining (larger) sizes are skipped.
+    generation, orbit counting, local blocks (with diffusion and the
+    concatenation), the global step, and the end-to-end pipeline total
+    (generation excluded). A failing size is reported and the remaining
+    (larger) sizes are skipped.
     """
     if list(sizes) != sorted(sizes):
         raise CliError("--sizes must be ascending")
@@ -350,19 +343,8 @@ def bench_scaling(
             t_gen = time.perf_counter() - t0
 
             start = time.perf_counter()
-            counts = count_edge_orbits(g, workers=workers)
-            t_count = time.perf_counter() - start
-
-            t1 = time.perf_counter()
-            blocks = local_embeddings(g, counts, cfg)
-            t_local = time.perf_counter() - t1
-
-            t2 = time.perf_counter()
-            conc = concatenate_embeddings(blocks)
-            emb = global_embedding(conc, cfg.global_rank, ccd=cfg.ccd)
-            t_global = time.perf_counter() - t2
+            seconds = embed_graph(g, cfg).seconds
             total = time.perf_counter() - start
-            del emb
         except (MemoryError, ValueError, OSError) as exc:
             rows.append({"n": n, "error": f"{type(exc).__name__}: {exc}"})
             log.error("size %d failed (%s); skipping larger sizes", n, exc)
@@ -372,9 +354,9 @@ def bench_scaling(
                 "n": n,
                 "edges": g.num_edges,
                 "generate_s": t_gen,
-                "count_s": t_count,
-                "local_s": t_local,
-                "global_s": t_global,
+                "count_s": seconds["count"],
+                "local_s": seconds["local"] + seconds["diffuse"],
+                "global_s": seconds["global"],
                 "total_s": total,
             }
         )
@@ -402,7 +384,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "seed": seed,
         "workers": workers,
     }
-    rows = bench_scaling(sizes, avg_degree, cfg, workers=workers, seed=seed)
+    rows = bench_scaling(sizes, avg_degree, cfg, seed=seed)
     with open_out(resolve(args, "out", None)) as out:
         write_header(out, "bench", resolved)
         out.write("n\tedges\tgenerate_s\tcount_s\tlocal_s\tglobal_s\ttotal_s\n")
@@ -423,6 +405,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+_WORKERS_HELP = "no effect; accepted and echoed so older config files keep working"
 
 
 def _add_input_flags(sub: argparse.ArgumentParser) -> None:
@@ -459,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("count-orbits", help="per-edge orbit count table (TSV)")
     _add_input_flags(p)
-    p.add_argument("--workers", type=int, default=None, help="counting processes (default 1)")
+    p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
     p.set_defaults(func=cmd_count_orbits)
 
     p = subs.add_parser("motif-matrix", help="export one motif matrix (MatrixMarket)")
@@ -472,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("embed", help="node embeddings (TSV: label + vector)")
     _add_input_flags(p)
     _add_pipeline_flags(p, k_help="step count 1..4 (default 2)")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
     p.add_argument("--y-out", dest="y_out", default=None,
                    help="also write the concatenated pre-fusion matrix here")
     p.set_defaults(func=cmd_embed)
@@ -489,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value file; flags override its values")
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
     _add_pipeline_flags(p, k_help="step count 1..4 (default 2)")
     p.set_defaults(func=cmd_bench)
 
@@ -511,8 +496,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        where = f": {exc.filename}" if exc.filename is not None else ""
+        print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

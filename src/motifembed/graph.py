@@ -33,8 +33,7 @@ class Graph:
 
     Each edge is stored once with ``u < v`` (canonical, lexicographically
     sorted) and mirrored in the adjacency structure. Neighbor lists are
-    strictly ascending. Instances are immutable after construction and safe
-    to share across workers.
+    strictly ascending. Instances are immutable after construction.
     """
 
     def __init__(
@@ -153,7 +152,7 @@ class Graph:
             yield int(u), int(v)
 
     def adjacency_sets(self) -> list[set[int]]:
-        """Neighbor lists as Python sets, for set-algebra heavy kernels."""
+        """Neighbor lists as Python sets, for the brute-force orbit oracle."""
         nb = self._neighbors.tolist()
         off = self._offsets.tolist()
         return [set(nb[off[u] : off[u + 1]]) for u in range(self.num_nodes)]

@@ -16,18 +16,43 @@ Orbit taxonomy (1-based ids, fixed):
   O13 4-clique edge
 
 All counts are induced: a subgraph on a vertex subset contains every edge
-between those vertices. The fast counter works edge-locally from neighbor
-sets; the brute-force oracle enumerates vertex subsets and classifies the
+between those vertices.
+
+The counter works on the int64 sparse adjacency A, so every count is exact.
+For edge e = (i, j) let Ri = A[i], Rj = A[j] and C = Ri∘Rj (common
+neighbours). Per edge it takes
+
+  T  = rowsum C                      triangles through e
+  Q  = rowsum((Ri·A)∘Rj) = (A³)ij    3-walks from i to j
+  P  = C·A,  S = rowsum P            degree sum over the common neighbours
+  D  = rowsum(P∘(Ri + Rj))
+  2K = rowsum(P∘C)                   K: 4-cliques through e
+
+and, with node triangles t (half the sum of T over incident edges),
+degrees d, si = di − 1 − T and NS = A·d (neighbour-degree sums), the
+relations of PGD (Ahmed, Neville, Rossi, Duffield, ICDM 2015) give
+
+  O1 = 1,  O2 = si + sj,  O3 = T,  O13 = K,  O12 = T(T−1)/2 − K
+  O11 = D − 2T − 4K
+  O10 = S − O11 − 2K − 2T
+  O9  = T·O2 − O11
+  O8  = ti + tj − 2T − 2K − O11
+  O6  = C(si, 2) + C(sj, 2) − O8
+  O7  = Q − di − dj + 1 − O11 − 2K
+  O5  = si·sj − O7
+  O4  = NSi + NSj − di − dj − 2S − 2·O8 − 2·O7 − O11 − O2
+
+The brute-force oracle enumerates vertex subsets and classifies the
 induced subgraph by its degree sequence.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+import scipy.sparse as sp
 
 from motifembed.factorize import normalize_columns
 from motifembed.graph import Graph
@@ -50,6 +75,10 @@ ORBIT_NAMES = (
     "clique4",
 )
 
+# wedges (neighbour-degree sums over both endpoints) per chunk of edges; it
+# bounds the size of the chunk's sparse products, not the edge count
+_CHUNK_WORK = 1 << 19
+
 
 @dataclass(frozen=True)
 class EdgeOrbitCounts:
@@ -71,113 +100,60 @@ class EdgeOrbitCounts:
         return self.counts[:, orbit - 1]
 
 
-def _count_rows(adj: list[set[int]], degs: list[int], edge_u, edge_v, lo: int, hi: int) -> np.ndarray:
-    """Orbit counts for edges lo..hi using closed-form set algebra.
-
-    For edge (i, j) let C = N(i) & N(j), Xi = N(i) - N(j) - {j},
-    Xj = N(j) - N(i) - {i}. Pair-type totals over these three sets give every
-    orbit; per-node terms use deg(u) minus the locally visible part so each
-    edge costs O((deg_i + deg_j) * avg_deg) set operations.
-    """
-    out = np.zeros((hi - lo, NUM_ORBITS), dtype=np.int64)
-    for row, e in enumerate(range(lo, hi)):
-        i = edge_u[e]
-        j = edge_v[e]
-        ni = adj[i]
-        nj = adj[j]
-        common = ni & nj
-        nc = len(common)
-        xi = ni - nj
-        xi.discard(j)
-        xj = nj - ni
-        xj.discard(i)
-        si = len(xi)
-        sj = len(xj)
-        o2 = si + sj
-
-        tri_pairs = 0  # 2 * adjacent pairs within C
-        o11 = 0
-        o10 = 0
-        for u in common:
-            nu = adj[u]
-            in_c = len(nu & common)
-            in_i = len(nu & xi)
-            in_j = len(nu & xj)
-            tri_pairs += in_c
-            o11 += in_i + in_j
-            # neighbors of u outside N(i) | N(j): u sees i, j, C, Xi, Xj locally
-            o10 += degs[u] - in_i - in_j - in_c - 2
-        o13 = tri_pairs >> 1
-        o12 = nc * (nc - 1) // 2 - o13
-        o9 = nc * o2 - o11
-
-        o7 = 0
-        o4 = 0
-        within = 0  # 2 * adjacent pairs within Xi plus within Xj
-        for u in xi:
-            nu = adj[u]
-            in_own = len(nu & xi)
-            across = len(nu & xj)
-            in_c = len(nu & common)
-            within += in_own
-            o7 += across
-            o4 += degs[u] - in_own - across - in_c - 1
-        for u in xj:
-            nu = adj[u]
-            in_own = len(nu & xj)
-            across = len(nu & xi)
-            in_c = len(nu & common)
-            within += in_own
-            o4 += degs[u] - in_own - across - in_c - 1
-        o8 = within >> 1
-        o6 = si * (si - 1) // 2 + sj * (sj - 1) // 2 - o8
-        o5 = si * sj - o7
-
-        out[row] = (1, o2, nc, o4, o5, o6, o7, o8, o9, o10, o11, o12, o13)
-    return out
+def _row_sums(x: sp.csr_matrix) -> np.ndarray:
+    return np.asarray(x.sum(axis=1), dtype=np.int64).ravel()
 
 
-_POOL_STATE: dict = {}
-
-
-def _pool_init(graph: Graph) -> None:
-    _POOL_STATE["adj"] = graph.adjacency_sets()
-    _POOL_STATE["degs"] = graph.degrees.tolist()
-    _POOL_STATE["edge_u"] = graph.edge_u.tolist()
-    _POOL_STATE["edge_v"] = graph.edge_v.tolist()
-
-
-def _pool_chunk(bounds: tuple[int, int]) -> np.ndarray:
-    lo, hi = bounds
-    return _count_rows(
-        _POOL_STATE["adj"], _POOL_STATE["degs"], _POOL_STATE["edge_u"], _POOL_STATE["edge_v"], lo, hi
-    )
-
-
-def count_edge_orbits(g: Graph, workers: int = 1) -> EdgeOrbitCounts:
+def count_edge_orbits(g: Graph) -> EdgeOrbitCounts:
     """Exact induced orbit counts for every edge.
 
-    Rows follow the graph's canonical edge order. Work is split by edge range
-    when ``workers`` > 1; counts are integers, so the result is identical for
-    any worker count.
+    Rows follow the graph's canonical edge order. Edges go through the
+    sparse products in chunks of at most ``_CHUNK_WORK`` wedges (a single
+    edge above the bound gets a chunk of its own); the arithmetic is int64
+    throughout, so the counts do not depend on the chunking.
     """
-    m = g.num_edges
-    if workers <= 1 or m < 1024:
-        adj = g.adjacency_sets()
-        degs = g.degrees.tolist()
-        rows = _count_rows(adj, degs, g.edge_u.tolist(), g.edge_v.tolist(), 0, m)
-        return EdgeOrbitCounts(rows, g.fingerprint())
+    n, m = g.num_nodes, g.num_edges
+    eu, ev = g.edge_u, g.edge_v
+    ones = np.ones(2 * m, dtype=np.int64)
+    a = sp.csr_matrix((ones, (np.concatenate([eu, ev]), np.concatenate([ev, eu]))), shape=(n, n))
+    deg = g.degrees.astype(np.int64)
+    nbr_deg = a @ deg  # NS: neighbour-degree sum per node
+    work = np.cumsum(nbr_deg[eu] + nbr_deg[ev])  # wedges up to and including each edge
 
-    chunks = max(workers * 4, 1)
-    bounds = [
-        (m * c // chunks, m * (c + 1) // chunks)
-        for c in range(chunks)
-        if m * c // chunks < m * (c + 1) // chunks
-    ]
-    ctx = mp.get_context("fork")
-    with ctx.Pool(processes=workers, initializer=_pool_init, initargs=(g,)) as pool:
-        parts = pool.map(_pool_chunk, bounds)
-    return EdgeOrbitCounts(np.vstack(parts), g.fingerprint())
+    tri, cyc, s, d, k = (np.empty(m, dtype=np.int64) for _ in range(5))
+    lo = 0
+    while lo < m:
+        base = work[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(work, base + _CHUNK_WORK, side="right")))
+        ri, rj = a[eu[lo:hi]], a[ev[lo:hi]]
+        common = ri.multiply(rj)
+        p = common @ a
+        tri[lo:hi] = _row_sums(common)
+        cyc[lo:hi] = _row_sums((ri @ a).multiply(rj))
+        s[lo:hi] = _row_sums(p)
+        d[lo:hi] = _row_sums(p.multiply(ri + rj))
+        k[lo:hi] = _row_sums(p.multiply(common)) // 2
+        lo = hi
+
+    node_tri = np.zeros(n, dtype=np.int64)
+    np.add.at(node_tri, eu, tri)
+    np.add.at(node_tri, ev, tri)
+    node_tri //= 2
+    di, dj = deg[eu], deg[ev]
+    si, sj = di - 1 - tri, dj - 1 - tri
+
+    o2 = si + sj
+    o11 = d - 2 * tri - 4 * k
+    o10 = s - o11 - 2 * k - 2 * tri
+    o9 = tri * o2 - o11
+    o8 = node_tri[eu] + node_tri[ev] - 2 * tri - 2 * k - o11
+    o6 = si * (si - 1) // 2 + sj * (sj - 1) // 2 - o8
+    o7 = cyc - di - dj + 1 - o11 - 2 * k
+    o5 = si * sj - o7
+    o4 = nbr_deg[eu] + nbr_deg[ev] - di - dj - 2 * s - 2 * o8 - 2 * o7 - o11 - o2
+    o12 = tri * (tri - 1) // 2 - k
+    counts = np.column_stack([np.ones(m, dtype=np.int64), o2, tri, o4, o5, o6, o7, o8, o9, o10, o11, o12, k])
+    return EdgeOrbitCounts(counts, g.fingerprint())
 
 
 def brute_force_orbit_counts(g: Graph, node_cap: int = 64) -> EdgeOrbitCounts:

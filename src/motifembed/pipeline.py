@@ -13,6 +13,7 @@ left factor are the node embeddings.
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -264,18 +265,30 @@ class PipelineResult:
     concatenated: ConcatenatedEmbeddings
     counts: EdgeOrbitCounts
     config: PipelineConfig
+    # wall seconds per stage: count (0 when counts were given), diffuse
+    # (0 without diffusion), local (the local blocks and the concatenation)
+    # and global
+    seconds: dict[str, float] = field(default_factory=dict)
 
 
 def embed_graph(
     g: Graph,
     cfg: PipelineConfig,
     counts: EdgeOrbitCounts | None = None,
-    workers: int = 1,
 ) -> PipelineResult:
-    """Run the whole pipeline: counts, local blocks, diffusion, global factors."""
+    """Run the whole pipeline: counts, diffusion, local blocks, global factors."""
+    seconds: dict[str, float] = {}
+    clock = time.perf_counter()
+
+    def lap(stage: str) -> None:
+        nonlocal clock
+        now = time.perf_counter()
+        seconds[stage] = now - clock
+        clock = now
+
     if counts is None:
-        counts = count_edge_orbits(g, workers=workers)
-    blocks = local_embeddings(g, counts, cfg)
+        counts = count_edge_orbits(g)
+    lap("count")
     attributes = None
     if cfg.diffusion is not None:
         base = node_motif_features(g, counts)
@@ -289,7 +302,11 @@ def embed_graph(
             delta=cfg.delta,
             steps_default=cfg.max_steps,
         )
+    lap("diffuse")
+    blocks = local_embeddings(g, counts, cfg)
     conc = concatenate_embeddings(blocks, attributes)
     del blocks, attributes  # conc holds the only copy the global step needs
+    lap("local")
     emb = global_embedding(conc, cfg.global_rank, ccd=cfg.ccd)
-    return PipelineResult(embedding=emb, concatenated=conc, counts=counts, config=cfg)
+    lap("global")
+    return PipelineResult(embedding=emb, concatenated=conc, counts=counts, config=cfg, seconds=seconds)

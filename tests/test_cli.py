@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from motifembed.cli import _write_vector_tsv, main, read_config_file
+from motifembed import pipeline
+from motifembed.cli import _write_vector_tsv, bench_scaling, main, read_config_file
 
 
 @pytest.fixture
@@ -98,6 +99,13 @@ class TestCountOrbits:
         assert code == 1
         assert str(missing) in capsys.readouterr().err
 
+    def test_input_directory_is_a_one_line_error(self, tmp_path, capsys):
+        code, _ = run_cli(["count-orbits", "--input", str(tmp_path)], capsys=capsys)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path) in err
+
     def test_malformed_line_reports_line_number(self, tmp_path, capsys):
         path = tmp_path / "bad.edges"
         path.write_text("0 1\nnot numbers\n")
@@ -122,6 +130,16 @@ class TestMotifMatrix:
         assert mat.shape == (3, 3)
         dense = mat.toarray()
         assert np.allclose(dense, np.ones((3, 3)) - np.eye(3))
+
+    def test_bare_out_name_is_overwritten_in_place(self, triangle, tmp_path):
+        out = tmp_path / "w"
+        for orbit in ("3", "1"):
+            code, _ = run_cli(
+                ["motif-matrix", "--input", str(triangle), "--orbit", orbit, "--out", str(out)]
+            )
+            assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tri.edges", "w"]
+        assert "orbit=1" in out.read_text()
 
     def test_orbit_out_of_range(self, triangle, capsys):
         code, _ = run_cli(
@@ -220,6 +238,16 @@ class TestEmbed:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "line 3" in err and "int64" in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("target", ["dir", "missing/z.tsv"])
+    def test_unopenable_out_is_a_one_line_error(self, triangle, tmp_path, capsys, target):
+        out = tmp_path / target if target != "dir" else tmp_path
+        code, _ = run_cli(["embed", "--input", str(triangle), "--k", "1", "--dl", "2",
+                           "--d", "2", "--out", str(out)], capsys=capsys)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out) in err
 
     def test_vector_writer_matches_per_value_formatting(self):
         import io
@@ -345,6 +373,23 @@ class TestBench:
         for row in rows:
             stages = [float(x) for x in row[2:]]
             assert all(s >= 0 for s in stages)
+
+    def test_diffusion_runs_once_per_size(self, monkeypatch):
+        calls = []
+        original = pipeline.diffuse_attributes
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].num_nodes)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "diffuse_attributes", counting)
+        cfg = pipeline.PipelineConfig(
+            max_steps=1, local_rank=2, global_rank=8,
+            diffusion=pipeline.DiffusionConfig(pipeline.DiffusionVariant.LINEAR),
+        )
+        rows = bench_scaling((40, 60), 6.0, cfg, seed=0)
+        assert calls == [40, 60]
+        assert all("error" not in row for row in rows)
 
     def test_descending_sizes_rejected(self, capsys):
         code, _ = run_cli(["bench", "--sizes", "100,50"], capsys=capsys)

@@ -11,6 +11,7 @@ from motifembed.generators import (
     petersen_graph,
     star_graph,
 )
+from motifembed import orbits
 from motifembed.graph import Graph
 from motifembed.orbits import (
     NUM_ORBITS,
@@ -147,12 +148,64 @@ def test_counts_are_readonly_and_fingerprinted():
         c.orbit_column(14)
 
 
-def test_multiprocess_workers_match_single():
-    g = erdos_renyi(80, 0.35, seed=11)
-    assert g.num_edges >= 1024  # ensures the pool path actually runs
-    single = count_edge_orbits(g, workers=1)
-    multi = count_edge_orbits(g, workers=2)
-    np.testing.assert_array_equal(single.counts, multi.counts)
+def wheel(spokes):
+    rim = [(1 + i, 1 + (i + 1) % spokes) for i in range(spokes)]
+    return Graph.from_edges(spokes + 1, rim + [(0, 1 + i) for i in range(spokes)])
+
+
+def complete_bipartite_2k(k):
+    return Graph.from_edges(k + 2, [(side, 2 + i) for side in (0, 1) for i in range(k)])
+
+
+def cliques_at_hub(sizes):
+    """Cliques sharing node 0, plus one edge joining each clique to the next."""
+    edges, start, firsts = [], 1, []
+    for size in sizes:
+        members = [0] + list(range(start, start + size - 1))
+        edges += [(a, b) for ix, a in enumerate(members) for b in members[ix + 1 :]]
+        firsts.append(start)
+        start += size - 1
+    edges += list(zip(firsts, firsts[1:]))
+    return Graph.from_edges(start, edges)
+
+
+def skewed(n, seed):
+    """Chung-Lu draw on power-law weights: a few hubs, many low-degree nodes."""
+    rng = np.random.default_rng(seed)
+    w = np.arange(1, n + 1) ** -0.7
+    w *= 6.0 * n / w.sum()
+    p = np.minimum(1.0, np.outer(w, w) / w.sum())
+    iu, iv = np.triu_indices(n, 1)
+    hit = rng.random(iu.size) < p[iu, iv]
+    return Graph.from_edges(n, np.stack([iu[hit], iv[hit]], axis=1))
+
+
+HUB_GRAPHS = {
+    "wheel12": wheel(12),
+    "wheel40": wheel(40),
+    "k2_30": complete_bipartite_2k(30),
+    "cliques_at_hub": cliques_at_hub([5, 6, 4, 7]),
+    **{f"skewed{seed}": skewed(int(40 + 5 * seed), seed) for seed in range(4)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUB_GRAPHS))
+def test_oracle_equivalence_hub_heavy(name):
+    g = HUB_GRAPHS[name]
+    assert g.num_nodes <= 60
+    np.testing.assert_array_equal(
+        count_edge_orbits(g).counts, brute_force_orbit_counts(g).counts
+    )
+
+
+def test_tiny_chunks_give_identical_counts(monkeypatch):
+    g = HUB_GRAPHS["skewed3"]
+    whole = count_edge_orbits(g).counts
+    # a bound below every edge's work puts each edge in a chunk of its own
+    monkeypatch.setattr(orbits, "_CHUNK_WORK", 1)
+    np.testing.assert_array_equal(count_edge_orbits(g).counts, whole)
+    monkeypatch.setattr(orbits, "_CHUNK_WORK", 50)
+    np.testing.assert_array_equal(count_edge_orbits(g).counts, whole)
 
 
 @st.composite

@@ -292,6 +292,8 @@ def test_embed_graph_smoke_shapes_and_objective():
     optimum = 0.5 * fit + 2.0 * cfg.ccd.reg * kept.sum()
     assert res.embedding.converged is True
     np.testing.assert_allclose(res.embedding.objective_path, (optimum,), rtol=1e-10)
+    assert sorted(res.seconds) == ["count", "diffuse", "global", "local"]
+    assert all(sec >= 0.0 for sec in res.seconds.values())
 
 
 def test_pipeline_config_validation():
