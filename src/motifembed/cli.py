@@ -127,6 +127,15 @@ def parse_steps(token: str, allow_auto: bool) -> int | str:
 # output plumbing
 
 
+def claim_outputs(*paths: str | None) -> None:
+    """Create (or truncate) each output path now, so an unusable path ends
+    the command before its computation rather than after it."""
+    for path in paths:
+        if path is not None:
+            with open(path, "w"):
+                pass
+
+
 @contextmanager
 def open_out(path: str | None):
     if path is None:
@@ -208,9 +217,11 @@ def cmd_count_orbits(args: argparse.Namespace) -> int:
     g, input_echo = load_input_graph(args)
     workers = resolve(args, "workers", 1, parse=int)
     seed = resolve_seed(args)
+    out_path = resolve(args, "out", None)
+    claim_outputs(out_path)
     counts = count_edge_orbits(g)
     resolved = {**input_echo, "workers": workers, "seed": seed}
-    with open_out(resolve(args, "out", None)) as out:
+    with open_out(out_path) as out:
         write_header(out, "count-orbits", resolved)
         out.write("u\tv\t" + "\t".join(f"O{i}" for i in range(1, NUM_ORBITS + 1)) + "\n")
         labels = g.labels
@@ -236,6 +247,8 @@ def cmd_motif_matrix(args: argparse.Namespace) -> int:
         raise CliError(f"unknown --kind {kind_token!r}; use one of {'|'.join(KIND_TOKENS)}")
     delta = resolve(args, "delta", 1, parse=int)
     seed = resolve_seed(args)
+    out_path = resolve(args, "out", None)
+    claim_outputs(out_path)
     counts = count_edge_orbits(g)
     try:
         wg = build_motif_weight_matrix(g, counts, orbit, delta)
@@ -245,7 +258,6 @@ def cmd_motif_matrix(args: argparse.Namespace) -> int:
 
     resolved = {**input_echo, "orbit": orbit, "kind": kind_token, "delta": delta, "seed": seed}
     comment = header_dict("motif-matrix", resolved)
-    out_path = resolve(args, "out", None)
     # MatrixMarket banner must stay on line one; the config echo follows as
     # '%' comment lines, so the file still opens with a pure comment block.
     # A path goes to mmwrite as an open file, which stops scipy from
@@ -271,12 +283,13 @@ def cmd_embed(args: argparse.Namespace) -> int:
     seed = resolve_seed(args)
     workers = resolve(args, "workers", 1, parse=int)
     cfg, cfg_echo = pipeline_from_args(args, steps, seed)
+    out_path, y_out = resolve(args, "out", None), resolve(args, "y_out", None)
+    claim_outputs(out_path, y_out)
     result = embed_graph(g, cfg)
     resolved = {**input_echo, **cfg_echo, "k": steps, "seed": seed, "workers": workers}
-    with open_out(resolve(args, "out", None)) as out:
+    with open_out(out_path) as out:
         write_header(out, "embed", resolved)
         _write_vector_tsv(out, g.labels, result.embedding.nodes)
-    y_out = resolve(args, "y_out", None)
     if y_out is not None:
         with open_out(y_out) as out:
             write_header(out, "embed", {**resolved, "matrix": "concatenated"})
@@ -302,12 +315,14 @@ def cmd_linkpred(args: argparse.Namespace) -> int:
         "seed": seed,
     }
     echo = header_dict("linkpred", resolved)
+    out_path = resolve(args, "out", None)
+    claim_outputs(out_path)
     report = run_experiment(
         g,
         EvalConfig(pipeline=cfg, step_grid=step_grid, n_seeds=seeds, base_seed=seed),
         config_echo=echo,
     )
-    with open_out(resolve(args, "out", None)) as out:
+    with open_out(out_path) as out:
         write_header(out, "linkpred", resolved)
         out.write("seed\tk\tauc\n")
         for outcome in report.outcomes:
@@ -384,8 +399,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "seed": seed,
         "workers": workers,
     }
+    out_path = resolve(args, "out", None)
+    claim_outputs(out_path)
     rows = bench_scaling(sizes, avg_degree, cfg, seed=seed)
-    with open_out(resolve(args, "out", None)) as out:
+    with open_out(out_path) as out:
         write_header(out, "bench", resolved)
         out.write("n\tedges\tgenerate_s\tcount_s\tlocal_s\tglobal_s\ttotal_s\n")
         for row in rows:

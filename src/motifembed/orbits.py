@@ -120,7 +120,11 @@ def count_edge_orbits(g: Graph) -> EdgeOrbitCounts:
     nbr_deg = a @ deg  # NS: neighbour-degree sum per node
     work = np.cumsum(nbr_deg[eu] + nbr_deg[ev])  # wedges up to and including each edge
 
-    tri, cyc, s, d, k = (np.empty(m, dtype=np.int64) for _ in range(5))
+    # every per-edge quantity lives in a column of the final table: the loop
+    # writes T, K and the raw Q, S and D, and the relations below turn Q, S
+    # and D into O7, O10 and O11 in place
+    table = np.empty((m, NUM_ORBITS), dtype=np.int64)
+    o1, o2, tri, o4, o5, o6, o7, o8, o9, o10, o11, o12, k = table.T
     lo = 0
     while lo < m:
         base = work[lo - 1] if lo else 0
@@ -129,9 +133,9 @@ def count_edge_orbits(g: Graph) -> EdgeOrbitCounts:
         common = ri.multiply(rj)
         p = common @ a
         tri[lo:hi] = _row_sums(common)
-        cyc[lo:hi] = _row_sums((ri @ a).multiply(rj))
-        s[lo:hi] = _row_sums(p)
-        d[lo:hi] = _row_sums(p.multiply(ri + rj))
+        o7[lo:hi] = _row_sums((ri @ a).multiply(rj))  # Q
+        o10[lo:hi] = _row_sums(p)  # S
+        o11[lo:hi] = _row_sums(p.multiply(ri + rj))  # D
         k[lo:hi] = _row_sums(p.multiply(common)) // 2
         lo = hi
 
@@ -139,21 +143,20 @@ def count_edge_orbits(g: Graph) -> EdgeOrbitCounts:
     np.add.at(node_tri, eu, tri)
     np.add.at(node_tri, ev, tri)
     node_tri //= 2
-    di, dj = deg[eu], deg[ev]
-    si, sj = di - 1 - tri, dj - 1 - tri
+    si, sj = deg[eu] - 1 - tri, deg[ev] - 1 - tri
 
-    o2 = si + sj
-    o11 = d - 2 * tri - 4 * k
-    o10 = s - o11 - 2 * k - 2 * tri
-    o9 = tri * o2 - o11
-    o8 = node_tri[eu] + node_tri[ev] - 2 * tri - 2 * k - o11
-    o6 = si * (si - 1) // 2 + sj * (sj - 1) // 2 - o8
-    o7 = cyc - di - dj + 1 - o11 - 2 * k
-    o5 = si * sj - o7
-    o4 = nbr_deg[eu] + nbr_deg[ev] - di - dj - 2 * s - 2 * o8 - 2 * o7 - o11 - o2
-    o12 = tri * (tri - 1) // 2 - k
-    counts = np.column_stack([np.ones(m, dtype=np.int64), o2, tri, o4, o5, o6, o7, o8, o9, o10, o11, o12, k])
-    return EdgeOrbitCounts(counts, g.fingerprint())
+    o1[:] = 1
+    np.add(si, sj, out=o2)
+    o11 -= 2 * tri + 4 * k
+    o8[:] = node_tri[eu] + node_tri[ev] - 2 * tri - 2 * k - o11
+    o7 -= deg[eu] + deg[ev] - 1 + o11 + 2 * k
+    o4[:] = nbr_deg[eu] + nbr_deg[ev] - deg[eu] - deg[ev] - 2 * o10 - 2 * o8 - 2 * o7 - o11 - o2
+    o10 -= o11 + 2 * k + 2 * tri
+    o9[:] = tri * o2 - o11
+    o6[:] = si * (si - 1) // 2 + sj * (sj - 1) // 2 - o8
+    o5[:] = si * sj - o7
+    o12[:] = tri * (tri - 1) // 2 - k
+    return EdgeOrbitCounts(table, g.fingerprint())
 
 
 def brute_force_orbit_counts(g: Graph, node_cap: int = 64) -> EdgeOrbitCounts:

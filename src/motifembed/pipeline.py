@@ -266,17 +266,40 @@ class PipelineResult:
     counts: EdgeOrbitCounts
     config: PipelineConfig
     # wall seconds per stage: count (0 when counts were given), diffuse
-    # (0 without diffusion), local (the local blocks and the concatenation)
-    # and global
+    # (0 without diffusion), local (the local blocks, unless they were
+    # given, and the concatenation) and global
     seconds: dict[str, float] = field(default_factory=dict)
+
+
+def _block_prefix(
+    blocks: list[tuple[int, int, np.ndarray, bool]], cfg: PipelineConfig
+) -> list[tuple[int, int, np.ndarray, bool]]:
+    """The blocks for k <= cfg.max_steps out of a k-major set built at a
+    step count of at least cfg.max_steps."""
+    expected = [(k, orbit) for k in range(1, cfg.max_steps + 1) for orbit in cfg.orbits]
+    prefix = blocks[: len(expected)]
+    if [(k, orbit) for k, orbit, _, _ in prefix] != expected:
+        raise ValueError(
+            f"blocks do not cover max_steps={cfg.max_steps} over orbits {cfg.orbits} in k-major order"
+        )
+    return prefix
 
 
 def embed_graph(
     g: Graph,
     cfg: PipelineConfig,
     counts: EdgeOrbitCounts | None = None,
+    blocks: list[tuple[int, int, np.ndarray, bool]] | None = None,
 ) -> PipelineResult:
-    """Run the whole pipeline: counts, diffusion, local blocks, global factors."""
+    """Run the whole pipeline: counts, diffusion, local blocks, global factors.
+
+    ``counts`` and ``blocks`` let a caller share work across runs on the same
+    graph. ``blocks`` must come from :func:`local_embeddings` on ``g`` and
+    ``counts`` with ``cfg`` at a step count of at least ``cfg.max_steps``
+    (nothing else changed): block seeds depend only on (seed, k, orbit), so
+    the first ``cfg.max_steps`` steps of that set are the blocks this run
+    would build.
+    """
     seconds: dict[str, float] = {}
     clock = time.perf_counter()
 
@@ -303,7 +326,7 @@ def embed_graph(
             steps_default=cfg.max_steps,
         )
     lap("diffuse")
-    blocks = local_embeddings(g, counts, cfg)
+    blocks = local_embeddings(g, counts, cfg) if blocks is None else _block_prefix(blocks, cfg)
     conc = concatenate_embeddings(blocks, attributes)
     del blocks, attributes  # conc holds the only copy the global step needs
     lap("local")

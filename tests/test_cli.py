@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from motifembed import pipeline
+from motifembed import cli, pipeline
 from motifembed.cli import _write_vector_tsv, bench_scaling, main, read_config_file
 
 
@@ -355,6 +355,31 @@ class TestLinkpred:
         assert code == 0
         row = read_body(out)[1].split("\t")
         assert row[1] in {"1", "2", "3", "4"}
+
+
+class TestOutputsCheckedFirst:
+    @pytest.mark.parametrize(
+        "argv, compute",
+        [
+            (["linkpred", "--input", "{input}", "--k", "1", "--seeds", "1", "--out", "{bad}"], "run_experiment"),
+            (["embed", "--input", "{input}", "--k", "1", "--out", "{bad}"], "embed_graph"),
+            (["embed", "--input", "{input}", "--k", "1", "--out", "{good}", "--y-out", "{bad}"], "embed_graph"),
+            (["count-orbits", "--input", "{input}", "--out", "{bad}"], "count_edge_orbits"),
+            (["motif-matrix", "--input", "{input}", "--orbit", "1", "--out", "{bad}"], "count_edge_orbits"),
+            (["bench", "--sizes", "50", "--out", "{bad}"], "bench_scaling"),
+        ],
+    )
+    def test_unusable_out_fails_before_the_computation(
+        self, ring_graph, tmp_path, capsys, monkeypatch, argv, compute
+    ):
+        ran = []
+        monkeypatch.setattr(cli, compute, lambda *a, **k: ran.append(compute))
+        paths = {"input": ring_graph, "bad": tmp_path, "good": tmp_path / "z.tsv"}
+        code, _ = run_cli([arg.format(**paths) for arg in argv], capsys=capsys)
+        assert code == 1
+        assert ran == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path) in err
 
 
 class TestBench:

@@ -1,11 +1,18 @@
+import logging
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
+from scipy.special import expit
 
+from motifembed import evaluation, pipeline
 from motifembed.evaluation import (
     DEFAULT_LAMBDA_GRID,
     EvalConfig,
+    SeedOutcome,
     auc,
     auc_pairwise,
     cross_val_auc,
@@ -14,10 +21,11 @@ from motifembed.evaluation import (
     fit_logreg,
     make_split,
     run_experiment,
+    _selection_subsample,
     _stratified_folds,
 )
 from motifembed.generators import complete_graph, cycle_graph, erdos_renyi
-from motifembed.pipeline import PipelineConfig
+from motifembed.pipeline import DiffusionConfig, DiffusionVariant, PipelineConfig, embed_graph
 
 TINY_PIPELINE = PipelineConfig(orbits=(1, 2, 3), max_steps=1, local_rank=4, global_rank=12)
 
@@ -211,6 +219,71 @@ def test_fit_logreg_converges_on_scaled_features():
     assert model.iterations < 500
 
 
+def wide_degenerate(seed=1):
+    # more columns than rows, one duplicated column and one all-zero column,
+    # like a selection fold with zero blocks
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(40, 60))
+    x[:, 5] = x[:, 4]
+    x[:, 7] = 0.0
+    y = (rng.random(40) < 0.5).astype(float)
+    y[:2] = (0.0, 1.0)
+    return x, y
+
+
+def logistic_draw(n=1500, seed=2):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 10))
+    y = (rng.random(n) < expit(x @ rng.normal(size=10) - 0.5)).astype(float)
+    return x, y
+
+
+def _objective_and_gradient(coef, x, y, reg):
+    w, b = coef[:-1], coef[-1]
+    z = x @ w + b
+    err = expit(z) - y
+    obj = np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * reg * (w @ w)
+    return obj, np.append(x.T @ err / y.size + reg * w, err.mean())
+
+
+@pytest.mark.parametrize("case", [separable_toy, wide_degenerate, logistic_draw])
+def test_fit_logreg_reaches_the_optimum_at_every_lambda(case):
+    x, y = case()
+    for reg in list(DEFAULT_LAMBDA_GRID) + [1e3, 1e4]:
+        model = fit_logreg(x, y, reg)
+        obj, grad = _objective_and_gradient(np.append(model.weights, model.bias), x, y, reg)
+        assert model.converged
+        assert np.linalg.norm(grad) <= 1e-6
+        reference = minimize(
+            _objective_and_gradient, np.zeros(x.shape[1] + 1), args=(x, y, reg), jac=True,
+            method="L-BFGS-B", options={"gtol": 1e-10, "ftol": 0.0, "maxiter": 100_000},
+        )
+        assert obj <= reference.fun + 1e-9
+
+
+def test_fit_logreg_warns_at_its_iteration_cap(caplog):
+    x, y = logistic_draw(n=200)
+    with caplog.at_level(logging.WARNING, logger="motifembed.evaluation"):
+        model = fit_logreg(x, y, 1e-4, max_iter=1)
+    assert not model.converged
+    assert model.iterations == 1
+    assert "1-iteration cap" in caplog.text
+
+
+@pytest.mark.parametrize("reg", [0.0, -1e-3])
+def test_fit_logreg_rejects_nonpositive_reg(reg):
+    x, y = separable_toy()
+    with pytest.raises(ValueError, match="reg"):
+        fit_logreg(x, y, reg)
+
+
+@pytest.mark.parametrize("reg", [np.nan, np.inf])
+def test_fit_logreg_rejects_nonfinite_reg(reg):
+    x, y = separable_toy()
+    with pytest.raises(ValueError, match="reg"):
+        fit_logreg(x, y, reg)
+
+
 def test_permuted_labels_give_null_cv_auc():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(400, 6))
@@ -261,3 +334,59 @@ def test_run_experiment_report_shape_and_determinism():
     assert rep1.mean_auc == pytest.approx(aucs.mean())
     assert rep1.std_auc == pytest.approx(aucs.std())
     assert rep1.config_echo == "case"
+
+
+def _protocol_from_scratch(g, cfg, seed):
+    # reference: the protocol with a from-scratch embed_graph per step count
+    split = make_split(g, seed)
+    pairs = np.vstack([split.positives, split.negatives])
+    labels = np.concatenate([np.ones(len(split.positives)), np.zeros(len(split.negatives))])
+    sub = _selection_subsample(
+        labels, cfg.selection_fraction, np.random.default_rng(np.random.SeedSequence((seed, 0x5B)))
+    )
+    embed_seed = int(np.random.SeedSequence((cfg.base_seed, seed, 0xEB)).generate_state(1)[0])
+    best = None
+    for steps in cfg.step_grid:
+        step_cfg = replace(cfg.pipeline, max_steps=steps, seed=embed_seed)
+        features = edge_features_mean(embed_graph(split.train_graph, step_cfg).embedding.nodes, pairs)
+        for reg in cfg.lambda_grid:
+            score = cross_val_auc(features[sub], labels[sub], reg, folds=cfg.folds, seed=seed)
+            if best is None or score > best[0]:
+                best = (score, steps, reg, features)
+    _, steps, reg, features = best
+    return SeedOutcome(seed, steps, reg, cross_val_auc(features, labels, reg, folds=cfg.folds, seed=seed))
+
+
+@pytest.mark.parametrize("diffusion", [None, DiffusionConfig(DiffusionVariant.LINEAR)])
+def test_shared_split_work_equals_embedding_from_scratch(monkeypatch, diffusion):
+    g = erdos_renyi(40, 0.2, seed=13)
+    cfg = EvalConfig(pipeline=replace(TINY_PIPELINE, diffusion=diffusion), step_grid=(1, 2, 3), n_seeds=1)
+    runs = []
+
+    def recording(graph, step_cfg, **shared):
+        result = embed_graph(graph, step_cfg, **shared)
+        runs.append((graph, step_cfg, result))
+        return result
+
+    monkeypatch.setattr(evaluation, "embed_graph", recording)
+    assert evaluate_one_seed(g, cfg, 3) == _protocol_from_scratch(g, cfg, 3)
+    assert [step_cfg.max_steps for _, step_cfg, _ in runs] == [1, 2, 3]
+    for graph, step_cfg, result in runs:
+        fresh = embed_graph(graph, step_cfg)
+        assert result.embedding.nodes.tobytes() == fresh.embedding.nodes.tobytes()
+        assert result.concatenated.matrix.tobytes() == fresh.concatenated.matrix.tobytes()
+
+
+def test_orbits_are_counted_once_per_split(monkeypatch):
+    calls = []
+    original = evaluation.count_edge_orbits
+
+    def counting(graph):
+        calls.append(graph)
+        return original(graph)
+
+    monkeypatch.setattr(evaluation, "count_edge_orbits", counting)
+    monkeypatch.setattr(pipeline, "count_edge_orbits", counting)
+    g = erdos_renyi(35, 0.2, seed=17)
+    run_experiment(g, EvalConfig(pipeline=TINY_PIPELINE, step_grid=(1, 2, 3), n_seeds=2))
+    assert len(calls) == 2

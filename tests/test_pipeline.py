@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -269,6 +271,28 @@ def test_embed_graph_is_deterministic():
     assert np.array_equal(a.embedding.nodes, b.embedding.nodes)
     assert np.array_equal(a.embedding.basis, b.embedding.basis)
     assert a.embedding.objective_path == b.embedding.objective_path
+
+
+def test_embed_graph_takes_the_step_prefix_of_given_blocks():
+    g = erdos_renyi(30, 0.2, seed=4)
+    counts = count_edge_orbits(g)
+    cfg = PipelineConfig(orbits=(1, 3), max_steps=2, local_rank=3, global_rank=6, seed=9)
+    blocks = local_embeddings(g, counts, replace(cfg, max_steps=3))
+    shared = embed_graph(g, cfg, counts=counts, blocks=blocks)
+    fresh = embed_graph(g, cfg)
+    assert shared.embedding.nodes.tobytes() == fresh.embedding.nodes.tobytes()
+    assert shared.concatenated.blocks == fresh.concatenated.blocks
+
+
+def test_embed_graph_rejects_blocks_that_do_not_cover_the_steps():
+    g = erdos_renyi(30, 0.2, seed=4)
+    counts = count_edge_orbits(g)
+    cfg = PipelineConfig(orbits=(1, 3), max_steps=2, local_rank=3, global_rank=6)
+    short = local_embeddings(g, counts, PipelineConfig(orbits=(1, 3), max_steps=1, local_rank=3))
+    other_orbits = local_embeddings(g, counts, PipelineConfig(orbits=(3, 1), max_steps=2, local_rank=3))
+    for blocks in (short, other_orbits):
+        with pytest.raises(ValueError, match="max_steps=2"):
+            embed_graph(g, cfg, counts=counts, blocks=blocks)
 
 
 def test_embed_graph_seed_changes_output():
