@@ -17,10 +17,10 @@ def main() -> int:
     ap.add_argument("--sizes", default="1000,10000,100000",
                     help="comma-separated node counts, ascending")
     ap.add_argument("--avg-degree", type=float, default=10.0)
-    ap.add_argument("--dl", type=int, default=16)
-    ap.add_argument("--d", type=int, default=128)
-    ap.add_argument("--k", type=int, default=2)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--dl", type=int, default=PipelineConfig.local_rank)
+    ap.add_argument("--d", type=int, default=PipelineConfig.global_rank)
+    ap.add_argument("--k", type=int, default=PipelineConfig.max_steps)
+    ap.add_argument("--seed", type=int, default=PipelineConfig.seed)
     args = ap.parse_args()
 
     sizes = tuple(int(t) for t in args.sizes.split(",") if t)

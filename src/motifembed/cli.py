@@ -37,7 +37,15 @@ class CliError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config resolution: defaults < config file < flags < MOTIFEMBED_SEED (seed only)
+# settings: build_parser declares each flag's default, type and range once.
+# Precedence: defaults < config file < flags < MOTIFEMBED_SEED (seed only).
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise :class:`CliError`."""
+
+    def error(self, message: str):
+        raise CliError(message)
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -57,37 +65,80 @@ def read_config_file(path: str) -> dict[str, str]:
     return values
 
 
+def config_flags(sub: argparse.ArgumentParser, path: str) -> list[str]:
+    """The config file's values as ``--key=value`` flags of ``sub``; keys
+    that name none of its flags are skipped."""
+    flags = []
+    for key, value in read_config_file(path).items():
+        flag = "--" + key.replace("_", "-")
+        # argparse keeps no public table of a parser's option strings
+        if flag in sub._option_string_actions and key != "help":
+            flags.append(f"{flag}={value}")
+    return flags
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse the command line. A ``--config`` file's values are spliced in
+    as flags right after the subcommand, ahead of the command line's own
+    flags, which therefore win; ``MOTIFEMBED_SEED`` then overrides the seed."""
+    parser, subcommands = build_parser()
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    config = pre.parse_known_args(argv)[0].config
+    at = next((i for i, token in enumerate(argv) if token in subcommands), None)
+    if config is not None and at is not None:
+        argv = argv[: at + 1] + config_flags(subcommands[argv[at]], config) + argv[at + 1 :]
+    args = parser.parse_args(argv)
+    env = os.environ.get(SEED_ENV_VAR)
+    if env is not None:
+        try:
+            args.seed = int(env)
+        except ValueError:
+            raise CliError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
+    return args
+
+
 def _parse_bool(text: str) -> bool:
     lowered = text.lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise CliError(f"expected a boolean, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
-def resolve(args: argparse.Namespace, name: str, default, parse=None):
-    """Flag value if given, else config-file value, else the default."""
-    flag_value = getattr(args, name, None)
-    if flag_value is not None:
-        return flag_value
-    file_cfg = getattr(args, "_file_cfg", {})
-    if name in file_cfg:
-        raw = file_cfg[name]
-        if parse is bool:
-            return _parse_bool(raw)
-        return parse(raw) if parse else raw
-    return default
+def _int_range(low: int, high: int | None = None):
+    """An argparse type: an integer in low..high, unbounded above without high."""
+    span = f"in {low}..{high}" if high is not None else f">= {low}"
 
-
-def resolve_seed(args: argparse.Namespace, default: int = 0) -> int:
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    def parse(token: str) -> int:
         try:
-            return int(env)
+            value = int(token)
         except ValueError:
-            raise CliError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return resolve(args, "seed", default, parse=int)
+            value = None
+        if value is None or value < low or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(f"expected an integer {span}, got {token!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_range(1)
+_step_count = _int_range(1, max(DEFAULT_STEP_GRID))
+
+
+def _step_count_or_auto(token: str) -> int | str:
+    return token if token == "auto" else _step_count(token)
+
+
+def _sizes(token: str) -> tuple[int, ...]:
+    try:
+        sizes = tuple(int(tok) for tok in token.split(",") if tok)
+    except ValueError:
+        sizes = ()
+    if not sizes:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {token!r}")
+    return sizes
 
 
 def parse_diffusion(token: str) -> DiffusionConfig | None:
@@ -99,28 +150,16 @@ def parse_diffusion(token: str) -> DiffusionConfig | None:
         return DiffusionConfig(DiffusionVariant.TRANSITION_WALK)
     if token.startswith("theta:"):
         try:
-            theta = float(token.split(":", 1)[1])
-        except ValueError:
-            raise CliError(f"bad theta in --diffusion {token!r}") from None
-        try:
-            return DiffusionConfig(DiffusionVariant.THETA_SMOOTHING, theta=theta)
+            return DiffusionConfig(DiffusionVariant.THETA_SMOOTHING, theta=float(token.split(":", 1)[1]))
         except ValueError as exc:
-            raise CliError(str(exc)) from None
-    raise CliError(f"unknown --diffusion {token!r}; use none|linear|transition|theta:<t>")
+            raise argparse.ArgumentTypeError(f"bad theta in {token!r}: {exc}") from None
+    raise argparse.ArgumentTypeError(f"unknown diffusion {token!r}; use none|linear|transition|theta:<t>")
 
 
-def parse_steps(token: str, allow_auto: bool) -> int | str:
-    if token == "auto":
-        if not allow_auto:
-            raise CliError("--k auto is only valid for linkpred; give a step count 1..4")
-        return "auto"
-    try:
-        value = int(token)
-    except ValueError:
-        raise CliError(f"bad --k {token!r}; use auto or an integer 1..4") from None
-    if not 1 <= value <= 4:
-        raise CliError(f"--k must be in 1..4, got {value}")
-    return value
+def _diffusion_token(token: str) -> str:
+    """An argparse type: the token itself, once it names a valid diffusion."""
+    parse_diffusion(token)
+    return token
 
 
 # ---------------------------------------------------------------------------
@@ -164,48 +203,23 @@ def header_dict(subcommand: str, resolved: dict) -> str:
 
 
 def load_input_graph(args: argparse.Namespace):
-    path = resolve(args, "input", None)
-    if path is None:
-        raise CliError("--input is required")
-    if not os.path.exists(path):
-        raise CliError(f"input file not found: {path}")
-    one_indexed = bool(resolve(args, "one_indexed", False, parse=bool))
-    skip_header = bool(resolve(args, "skip_header", False, parse=bool))
-    return load_edge_list(path, one_indexed=one_indexed, skip_header=skip_header), {
-        "input": path,
-        "one_indexed": one_indexed,
-        "skip_header": skip_header,
-    }
+    if not os.path.exists(args.input):
+        raise CliError(f"input file not found: {args.input}")
+    g = load_edge_list(args.input, one_indexed=args.one_indexed, skip_header=args.skip_header)
+    return g, {"input": args.input, "one_indexed": args.one_indexed, "skip_header": args.skip_header}
 
 
-def pipeline_from_args(args: argparse.Namespace, steps: int, seed: int) -> tuple[PipelineConfig, dict]:
-    kind_token = resolve(args, "kind", "w")
-    if kind_token not in KIND_TOKENS:
-        raise CliError(f"unknown --kind {kind_token!r}; use one of {'|'.join(KIND_TOKENS)}")
-    delta = resolve(args, "delta", 1, parse=int)
-    local_rank = resolve(args, "dl", 16, parse=int)
-    global_rank = resolve(args, "d", 128, parse=int)
-    diffusion_token = resolve(args, "diffusion", "none")
-    diffusion = parse_diffusion(diffusion_token)
-    try:
-        cfg = PipelineConfig(
-            max_steps=steps,
-            local_rank=local_rank,
-            global_rank=global_rank,
-            kind=MotifMatrixKind(kind_token),
-            delta=delta,
-            diffusion=diffusion,
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    echo = {
-        "kind": kind_token,
-        "delta": delta,
-        "dl": local_rank,
-        "d": global_rank,
-        "diffusion": diffusion_token,
-    }
+def pipeline_from_args(args: argparse.Namespace, steps: int) -> tuple[PipelineConfig, dict]:
+    cfg = PipelineConfig(
+        max_steps=steps,
+        local_rank=args.dl,
+        global_rank=args.d,
+        kind=MotifMatrixKind(args.kind),
+        delta=args.delta,
+        diffusion=parse_diffusion(args.diffusion),
+        seed=args.seed,
+    )
+    echo = {"kind": args.kind, "delta": args.delta, "dl": args.dl, "d": args.d, "diffusion": args.diffusion}
     return cfg, echo
 
 
@@ -215,13 +229,10 @@ def pipeline_from_args(args: argparse.Namespace, steps: int, seed: int) -> tuple
 
 def cmd_count_orbits(args: argparse.Namespace) -> int:
     g, input_echo = load_input_graph(args)
-    workers = resolve(args, "workers", 1, parse=int)
-    seed = resolve_seed(args)
-    out_path = resolve(args, "out", None)
-    claim_outputs(out_path)
+    claim_outputs(args.out)
     counts = count_edge_orbits(g)
-    resolved = {**input_echo, "workers": workers, "seed": seed}
-    with open_out(out_path) as out:
+    resolved = {**input_echo, "workers": args.workers, "seed": args.seed}
+    with open_out(args.out) as out:
         write_header(out, "count-orbits", resolved)
         out.write("u\tv\t" + "\t".join(f"O{i}" for i in range(1, NUM_ORBITS + 1)) + "\n")
         labels = g.labels
@@ -237,35 +248,21 @@ def cmd_count_orbits(args: argparse.Namespace) -> int:
 
 def cmd_motif_matrix(args: argparse.Namespace) -> int:
     g, input_echo = load_input_graph(args)
-    orbit = resolve(args, "orbit", None, parse=int)
-    if orbit is None:
-        raise CliError("--orbit is required")
-    if not 1 <= orbit <= NUM_ORBITS:
-        raise CliError(f"--orbit must be in 1..{NUM_ORBITS}, got {orbit}")
-    kind_token = resolve(args, "kind", "w")
-    if kind_token not in KIND_TOKENS:
-        raise CliError(f"unknown --kind {kind_token!r}; use one of {'|'.join(KIND_TOKENS)}")
-    delta = resolve(args, "delta", 1, parse=int)
-    seed = resolve_seed(args)
-    out_path = resolve(args, "out", None)
-    claim_outputs(out_path)
+    claim_outputs(args.out)
     counts = count_edge_orbits(g)
-    try:
-        wg = build_motif_weight_matrix(g, counts, orbit, delta)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    matrix = apply_matrix_kind(wg, MotifMatrixKind(kind_token))
+    wg = build_motif_weight_matrix(g, counts, args.orbit, args.delta)
+    matrix = apply_matrix_kind(wg, MotifMatrixKind(args.kind))
 
-    resolved = {**input_echo, "orbit": orbit, "kind": kind_token, "delta": delta, "seed": seed}
+    resolved = {**input_echo, "orbit": args.orbit, "kind": args.kind, "delta": args.delta, "seed": args.seed}
     comment = header_dict("motif-matrix", resolved)
     # MatrixMarket banner must stay on line one; the config echo follows as
     # '%' comment lines, so the file still opens with a pure comment block.
     # A path goes to mmwrite as an open file, which stops scipy from
     # appending .mtx to a bare name.
-    if out_path is None:
+    if args.out is None:
         scipy.io.mmwrite(sys.stdout.buffer if hasattr(sys.stdout, "buffer") else sys.stdout, matrix, comment=comment)
     else:
-        with open(out_path, "wb") as fh:
+        with open(args.out, "wb") as fh:
             scipy.io.mmwrite(fh, matrix, comment=comment)
     return 0
 
@@ -279,19 +276,15 @@ def _write_vector_tsv(out, labels, matrix) -> None:
 
 def cmd_embed(args: argparse.Namespace) -> int:
     g, input_echo = load_input_graph(args)
-    steps = parse_steps(resolve(args, "k", "2"), allow_auto=False)
-    seed = resolve_seed(args)
-    workers = resolve(args, "workers", 1, parse=int)
-    cfg, cfg_echo = pipeline_from_args(args, steps, seed)
-    out_path, y_out = resolve(args, "out", None), resolve(args, "y_out", None)
-    claim_outputs(out_path, y_out)
+    cfg, cfg_echo = pipeline_from_args(args, args.k)
+    claim_outputs(args.out, args.y_out)
     result = embed_graph(g, cfg)
-    resolved = {**input_echo, **cfg_echo, "k": steps, "seed": seed, "workers": workers}
-    with open_out(out_path) as out:
+    resolved = {**input_echo, **cfg_echo, "k": args.k, "seed": args.seed, "workers": args.workers}
+    with open_out(args.out) as out:
         write_header(out, "embed", resolved)
         _write_vector_tsv(out, g.labels, result.embedding.nodes)
-    if y_out is not None:
-        with open_out(y_out) as out:
+    if args.y_out is not None:
+        with open_out(args.y_out) as out:
             write_header(out, "embed", {**resolved, "matrix": "concatenated"})
             _write_vector_tsv(out, g.labels, result.concatenated.matrix)
     return 0
@@ -299,30 +292,14 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
 def cmd_linkpred(args: argparse.Namespace) -> int:
     g, input_echo = load_input_graph(args)
-    steps_token = resolve(args, "k", "auto")
-    steps = parse_steps(steps_token, allow_auto=True)
-    step_grid = DEFAULT_STEP_GRID if steps == "auto" else (steps,)
-    seed = resolve_seed(args)
-    seeds = resolve(args, "seeds", 10, parse=int)
-    if seeds < 1:
-        raise CliError(f"--seeds must be >= 1, got {seeds}")
-    cfg, cfg_echo = pipeline_from_args(args, max(step_grid), seed)
-    resolved = {
-        **input_echo,
-        **cfg_echo,
-        "k": steps_token if steps == "auto" else steps,
-        "seeds": seeds,
-        "seed": seed,
-    }
-    echo = header_dict("linkpred", resolved)
-    out_path = resolve(args, "out", None)
-    claim_outputs(out_path)
+    step_grid = DEFAULT_STEP_GRID if args.k == "auto" else (args.k,)
+    cfg, cfg_echo = pipeline_from_args(args, max(step_grid))
+    resolved = {**input_echo, **cfg_echo, "k": args.k, "seeds": args.seeds, "seed": args.seed}
+    claim_outputs(args.out)
     report = run_experiment(
-        g,
-        EvalConfig(pipeline=cfg, step_grid=step_grid, n_seeds=seeds, base_seed=seed),
-        config_echo=echo,
+        g, EvalConfig(pipeline=cfg, step_grid=step_grid, n_seeds=args.seeds, base_seed=args.seed)
     )
-    with open_out(out_path) as out:
+    with open_out(args.out) as out:
         write_header(out, "linkpred", resolved)
         out.write("seed\tk\tauc\n")
         for outcome in report.outcomes:
@@ -379,30 +356,18 @@ def bench_scaling(
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    sizes_token = resolve(args, "sizes", "1000,10000,100000")
-    try:
-        sizes = tuple(int(tok) for tok in sizes_token.split(",") if tok)
-    except ValueError:
-        raise CliError(f"bad --sizes {sizes_token!r}; use comma-separated integers") from None
-    if not sizes:
-        raise CliError("--sizes must name at least one size")
-    avg_degree = resolve(args, "avg_degree", 10.0, parse=float)
-    steps = parse_steps(resolve(args, "k", "2"), allow_auto=False)
-    seed = resolve_seed(args)
-    workers = resolve(args, "workers", 1, parse=int)
-    cfg, cfg_echo = pipeline_from_args(args, steps, seed)
+    cfg, cfg_echo = pipeline_from_args(args, args.k)
     resolved = {
-        "sizes": ",".join(str(s) for s in sizes),
-        "avg_degree": avg_degree,
+        "sizes": ",".join(str(s) for s in args.sizes),
+        "avg_degree": args.avg_degree,
         **cfg_echo,
-        "k": steps,
-        "seed": seed,
-        "workers": workers,
+        "k": args.k,
+        "seed": args.seed,
+        "workers": args.workers,
     }
-    out_path = resolve(args, "out", None)
-    claim_outputs(out_path)
-    rows = bench_scaling(sizes, avg_degree, cfg, seed=seed)
-    with open_out(out_path) as out:
+    claim_outputs(args.out)
+    rows = bench_scaling(args.sizes, args.avg_degree, cfg, seed=args.seed)
+    with open_out(args.out) as out:
         write_header(out, "bench", resolved)
         out.write("n\tedges\tgenerate_s\tcount_s\tlocal_s\tglobal_s\ttotal_s\n")
         for row in rows:
@@ -424,34 +389,53 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # parser
 
 
-_WORKERS_HELP = "no effect; accepted and echoed so older config files keep working"
+def _add_common_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--config", help="key=value file; flags override its values")
+    sub.add_argument("--out", help="output path (default: stdout)")
+    sub.add_argument("--seed", type=int, default=PipelineConfig.seed,
+                     help=f"RNG seed (default %(default)s; env {SEED_ENV_VAR} overrides)")
 
 
 def _add_input_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--input", help="edge-list file (lines of 'u v')")
-    sub.add_argument("--one-indexed", dest="one_indexed", action="store_true", default=None,
-                     help="treat node ids as starting at 1")
-    sub.add_argument("--skip-header", dest="skip_header", action="store_true", default=None,
-                     help="skip the first non-comment line")
-    sub.add_argument("--config", help="key=value file; flags override its values")
-    sub.add_argument("--out", help="output path (default: stdout)")
-    sub.add_argument("--seed", type=int, default=None,
-                     help=f"RNG seed (env {SEED_ENV_VAR} overrides)")
+    sub.add_argument("--input", required=True, help="edge-list file (lines of 'u v')")
+    sub.add_argument("--one-indexed", nargs="?", const=True, default=False, type=_parse_bool,
+                     metavar="BOOL", help="treat node ids as starting at 1")
+    sub.add_argument("--skip-header", nargs="?", const=True, default=False, type=_parse_bool,
+                     metavar="BOOL", help="skip the first non-comment line")
+    _add_common_flags(sub)
 
 
-def _add_pipeline_flags(sub: argparse.ArgumentParser, k_help: str) -> None:
-    sub.add_argument("--kind", choices=KIND_TOKENS, default=None,
-                     help="matrix kind built from motif weights")
-    sub.add_argument("--delta", type=int, default=None, help="minimum orbit count kept (default 1)")
-    sub.add_argument("--dl", type=int, default=None, help="rank of each local block (default 16)")
-    sub.add_argument("--d", type=int, default=None, help="global embedding rank (default 128)")
-    sub.add_argument("--k", default=None, help=k_help)
-    sub.add_argument("--diffusion", default=None,
-                     help="none | linear | transition | theta:<t> (default none)")
+def _add_kind_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--kind", choices=KIND_TOKENS, default=PipelineConfig.kind.value,
+                     help="matrix kind built from motif weights (default %(default)s)")
+    sub.add_argument("--delta", type=_positive_int, default=PipelineConfig.delta,
+                     help="minimum orbit count kept (default %(default)s)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _add_pipeline_flags(
+    sub: argparse.ArgumentParser,
+    k_type=_step_count,
+    k_default=PipelineConfig.max_steps,
+    k_help=f"step count 1..{max(DEFAULT_STEP_GRID)}",
+) -> None:
+    _add_kind_flags(sub)
+    sub.add_argument("--dl", type=_positive_int, default=PipelineConfig.local_rank,
+                     help="rank of each local block (default %(default)s)")
+    sub.add_argument("--d", type=_positive_int, default=PipelineConfig.global_rank,
+                     help="global embedding rank (default %(default)s)")
+    sub.add_argument("--k", type=k_type, default=k_default, help=k_help + " (default %(default)s)")
+    sub.add_argument("--diffusion", type=_diffusion_token, default="none",
+                     help="none | linear | transition | theta:<t> (default %(default)s)")
+
+
+def _add_workers_flag(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--workers", type=int, default=1,
+                     help="no effect; accepted and echoed so older config files keep working")
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommand parsers by name."""
+    parser = _Parser(
         prog="motifembed",
         description="Motif-based node embeddings: orbit counting, motif matrices, "
         "embedding, link prediction, scaling benchmark.",
@@ -461,63 +445,57 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("count-orbits", help="per-edge orbit count table (TSV)")
     _add_input_flags(p)
-    p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
+    _add_workers_flag(p)
     p.set_defaults(func=cmd_count_orbits)
 
     p = subs.add_parser("motif-matrix", help="export one motif matrix (MatrixMarket)")
     _add_input_flags(p)
-    p.add_argument("--orbit", type=int, default=None, help="orbit id 1..13")
-    p.add_argument("--kind", choices=KIND_TOKENS, default=None)
-    p.add_argument("--delta", type=int, default=None)
+    p.add_argument("--orbit", type=_int_range(1, NUM_ORBITS), required=True,
+                   help=f"orbit id 1..{NUM_ORBITS}")
+    _add_kind_flags(p)
     p.set_defaults(func=cmd_motif_matrix)
 
     p = subs.add_parser("embed", help="node embeddings (TSV: label + vector)")
     _add_input_flags(p)
-    _add_pipeline_flags(p, k_help="step count 1..4 (default 2)")
-    p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
-    p.add_argument("--y-out", dest="y_out", default=None,
-                   help="also write the concatenated pre-fusion matrix here")
+    _add_pipeline_flags(p)
+    _add_workers_flag(p)
+    p.add_argument("--y-out", help="also write the concatenated pre-fusion matrix here")
     p.set_defaults(func=cmd_embed)
 
     p = subs.add_parser("linkpred", help="link-prediction experiment report (TSV)")
     _add_input_flags(p)
-    _add_pipeline_flags(p, k_help="auto (grid 1..4) or a fixed step count (default auto)")
-    p.add_argument("--seeds", type=int, default=None, help="number of protocol seeds (default 10)")
+    _add_pipeline_flags(p, k_type=_step_count_or_auto, k_default="auto",
+                        k_help=f"auto (select from {DEFAULT_STEP_GRID} per seed) or a fixed step count")
+    p.add_argument("--seeds", type=_positive_int, default=EvalConfig.n_seeds,
+                   help="number of protocol seeds (default %(default)s)")
     p.set_defaults(func=cmd_linkpred)
 
     p = subs.add_parser("bench", help="pipeline scaling benchmark (TSV)")
-    p.add_argument("--sizes", default=None, help="comma-separated node counts (ascending)")
-    p.add_argument("--avg-degree", dest="avg_degree", type=float, default=None)
-    p.add_argument("--config", help="key=value file; flags override its values")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
-    _add_pipeline_flags(p, k_help="step count 1..4 (default 2)")
+    p.add_argument("--sizes", type=_sizes, default="1000,10000,100000",
+                   help="comma-separated node counts, ascending (default %(default)s)")
+    p.add_argument("--avg-degree", type=float, default=10.0, help="mean degree (default %(default)s)")
+    _add_common_flags(p)
+    _add_workers_flag(p)
+    _add_pipeline_flags(p)
     p.set_defaults(func=cmd_bench)
 
-    return parser
+    return parser, subs.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse handles --help and flag errors
-        return int(exc.code or 0)
-    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
-                        format="%(levelname)s %(name)s: %(message)s")
-    try:
-        config_path = getattr(args, "config", None)
-        args._file_cfg = read_config_file(config_path) if config_path else {}
+        try:
+            args = parse_args(sys.argv[1:] if argv is None else list(argv))
+        except SystemExit as exc:  # argparse printed --help
+            return int(exc.code or 0)
+        logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
+                            format="%(levelname)s %(name)s: %(message)s")
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         where = f": {exc.filename}" if exc.filename is not None else ""
         print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except ValueError as exc:  # CliError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

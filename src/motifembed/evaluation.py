@@ -17,7 +17,11 @@ from motifembed.pipeline import PipelineConfig, embed_graph, local_embeddings
 
 log = logging.getLogger("motifembed.evaluation")
 
-DEFAULT_LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
+# the protocol's L2 regularization grid, cross-validation fold count, and
+# the share of labeled pairs on which (steps, lambda) is selected
+LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
+FOLDS = 10
+SELECTION_FRACTION = 0.1
 DEFAULT_STEP_GRID = (1, 2, 3, 4)
 
 
@@ -241,12 +245,11 @@ def cross_val_auc(
     features: np.ndarray,
     labels: np.ndarray,
     reg: float,
-    folds: int = 10,
     seed: int = 0,
 ) -> float:
-    """Mean held-out-fold AUC of the regularized model."""
+    """Mean held-out-fold AUC of the regularized model over ``FOLDS`` folds."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xCF)))
-    parts = _stratified_folds(labels, folds, rng)
+    parts = _stratified_folds(labels, FOLDS, rng)
     scores = []
     for held in parts:
         mask = np.ones(labels.size, dtype=bool)
@@ -273,9 +276,6 @@ def _selection_subsample(labels: np.ndarray, fraction: float, rng: np.random.Gen
 class EvalConfig:
     pipeline: PipelineConfig
     step_grid: tuple[int, ...] | None = None  # None: use pipeline.max_steps as-is
-    lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
-    folds: int = 10
-    selection_fraction: float = 0.1
     n_seeds: int = 10
     base_seed: int = 0
 
@@ -293,11 +293,6 @@ class EvalReport:
     outcomes: tuple[SeedOutcome, ...]
     mean_auc: float
     std_auc: float
-    config_echo: str = ""
-
-    @property
-    def aucs(self) -> list[float]:
-        return [o.auc for o in self.outcomes]
 
 
 def _labeled_pairs(split: LinkPredSplit) -> tuple[np.ndarray, np.ndarray]:
@@ -322,7 +317,7 @@ def evaluate_one_seed(g: Graph, cfg: EvalConfig, seed: int) -> SeedOutcome:
     split = make_split(g, seed)
     pairs, labels = _labeled_pairs(split)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5B)))
-    sub = _selection_subsample(labels, cfg.selection_fraction, rng)
+    sub = _selection_subsample(labels, SELECTION_FRACTION, rng)
 
     grid = cfg.step_grid if cfg.step_grid is not None else (cfg.pipeline.max_steps,)
     embed_seed = int(np.random.SeedSequence((cfg.base_seed, seed, 0xEB)).generate_state(1)[0])
@@ -335,20 +330,18 @@ def evaluate_one_seed(g: Graph, cfg: EvalConfig, seed: int) -> SeedOutcome:
     for steps in grid:
         result = embed_graph(train, replace(pipeline_cfg, max_steps=steps), counts=counts, blocks=blocks)
         features = edge_features_mean(result.embedding.nodes, pairs)
-        for reg in cfg.lambda_grid:
-            score = cross_val_auc(
-                features[sub], labels[sub], reg, folds=cfg.folds, seed=seed
-            )
+        for reg in LAMBDA_GRID:
+            score = cross_val_auc(features[sub], labels[sub], reg, seed=seed)
             # strict > keeps the smallest steps and the first lambda on ties
             if best is None or score > best[0]:
                 best = (score, steps, reg, features)
 
     _, chosen_steps, chosen_lambda, features = best
-    final_auc = cross_val_auc(features, labels, chosen_lambda, folds=cfg.folds, seed=seed)
+    final_auc = cross_val_auc(features, labels, chosen_lambda, seed=seed)
     return SeedOutcome(seed=seed, chosen_steps=chosen_steps, chosen_lambda=chosen_lambda, auc=final_auc)
 
 
-def run_experiment(g: Graph, cfg: EvalConfig, config_echo: str = "") -> EvalReport:
+def run_experiment(g: Graph, cfg: EvalConfig) -> EvalReport:
     """The full protocol over ``cfg.n_seeds`` consecutive seeds."""
     outcomes = []
     for offset in range(cfg.n_seeds):
@@ -358,9 +351,4 @@ def run_experiment(g: Graph, cfg: EvalConfig, config_echo: str = "") -> EvalRepo
         outcomes.append(outcome)
     outcomes.sort(key=lambda o: o.seed)
     aucs = np.array([o.auc for o in outcomes])
-    return EvalReport(
-        outcomes=tuple(outcomes),
-        mean_auc=float(aucs.mean()),
-        std_auc=float(aucs.std()),
-        config_echo=config_echo,
-    )
+    return EvalReport(outcomes=tuple(outcomes), mean_auc=float(aucs.mean()), std_auc=float(aucs.std()))

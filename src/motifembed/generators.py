@@ -57,6 +57,8 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
 
 def erdos_renyi_average_degree(n: int, avg_degree: float, seed: int) -> Graph:
     """G(n, p) with p chosen so the expected degree is ``avg_degree``."""
+    if n < 2:
+        raise ValueError(f"need at least 2 nodes for an average degree, got {n}")
     return erdos_renyi(n, avg_degree / (n - 1), seed)
 
 

@@ -141,12 +141,6 @@ class Graph:
             raise KeyError(f"no edge ({u}, {v})")
         return int(self._slot_edge[self._offsets[u] + i])
 
-    def common_neighbors(self, u: int, v: int) -> np.ndarray:
-        """Sorted intersection of the two neighbor lists."""
-        if u == v:
-            raise ValueError("common_neighbors requires two distinct nodes")
-        return np.intersect1d(self.neighbors(u), self.neighbors(v), assume_unique=True)
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for u, v in zip(self.edge_u, self.edge_v):
             yield int(u), int(v)

@@ -60,19 +60,10 @@ class KStepOperator(LinearOperator):
         # older scipy releases do not fall back from rmatvec to _rmatmat
         return self._rmatmat(x.reshape(-1, 1)).ravel()
 
-    def to_dense(self) -> np.ndarray:
-        """Materialize the operator; for tests and small graphs only."""
-        return self._matmat(np.eye(self.shape[0]))
-
 
 def matvec_kstep(op: KStepOperator, x: np.ndarray) -> np.ndarray:
     """Apply the k-step operator to a vector."""
     return op.matvec(np.asarray(x, dtype=np.float64))
-
-
-def transpose_matvec_kstep(op: KStepOperator, x: np.ndarray) -> np.ndarray:
-    """Apply the transposed k-step operator to a vector."""
-    return op.rmatvec(np.asarray(x, dtype=np.float64))
 
 
 def _dense_kind(mat: np.ndarray, kind: MotifMatrixKind) -> np.ndarray:

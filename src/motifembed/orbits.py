@@ -59,22 +59,6 @@ from motifembed.graph import Graph
 
 NUM_ORBITS = 13
 
-ORBIT_NAMES = (
-    "edge",
-    "wedge",
-    "triangle",
-    "path4-end",
-    "path4-middle",
-    "star4",
-    "cycle4",
-    "tailed-tri-tail",
-    "tailed-tri-at-attachment",
-    "tailed-tri-opposite",
-    "diamond-cycle",
-    "diamond-chord",
-    "clique4",
-)
-
 # wedges (neighbour-degree sums over both endpoints) per chunk of edges; it
 # bounds the size of the chunk's sparse products, not the edge count
 _CHUNK_WORK = 1 << 19

@@ -34,6 +34,10 @@ from motifembed.orbits import NUM_ORBITS, EdgeOrbitCounts, count_edge_orbits, no
 log = logging.getLogger("motifembed.pipeline")
 
 ALL_ORBITS = tuple(range(1, NUM_ORBITS + 1))
+# randomized range finder of every local block: extra test columns drawn
+# beyond the rank, and power iterations
+OVERSAMPLE = 10
+POWER_ITERS = 2
 
 
 class DiffusionVariant(Enum):
@@ -44,13 +48,12 @@ class DiffusionVariant(Enum):
 
 @dataclass(frozen=True)
 class DiffusionConfig:
+    """How node features diffuse; they take the pipeline's ``max_steps`` steps."""
+
     variant: DiffusionVariant
-    steps: int | None = None  # defaults to the pipeline's max_steps
     theta: float | None = None
 
     def __post_init__(self):
-        if self.steps is not None and self.steps < 1:
-            raise ValueError("steps must be >= 1")
         if self.variant is DiffusionVariant.THETA_SMOOTHING:
             if self.theta is None or not 0.0 < self.theta <= 1.0:
                 raise ValueError("theta must be in (0, 1] for the theta variant")
@@ -67,8 +70,6 @@ class PipelineConfig:
     kind: MotifMatrixKind = MotifMatrixKind.WEIGHTED_GRAPH
     delta: int = 1
     diffusion: DiffusionConfig | None = None
-    oversample: int = 10
-    power_iters: int = 2
     ccd: CcdOptions = field(default_factory=CcdOptions)
     seed: int = 0
 
@@ -137,7 +138,7 @@ def local_embeddings(
     """
     n = g.num_nodes
     rank_eff = min(cfg.local_rank, n)
-    oversample_eff = min(cfg.oversample, n - rank_eff)
+    oversample_eff = min(OVERSAMPLE, n - rank_eff)
     out = []
     weight_cache: dict[int, MotifWeightedGraph] = {}
     for k in range(1, cfg.max_steps + 1):
@@ -154,7 +155,7 @@ def local_embeddings(
             fac_cfg = FactorizeConfig(
                 rank=rank_eff,
                 oversample=oversample_eff,
-                power_iters=cfg.power_iters,
+                power_iters=POWER_ITERS,
                 seed=_block_seed(cfg.seed, k, orbit),
             )
             factors = randomized_low_rank(op, fac_cfg)
@@ -224,31 +225,31 @@ def diffuse_attributes(
     g: Graph,
     counts: EdgeOrbitCounts,
     features: np.ndarray,
-    dcfg: DiffusionConfig,
-    orbits: tuple[int, ...] = ALL_ORBITS,
-    kind: MotifMatrixKind = MotifMatrixKind.WEIGHTED_GRAPH,
-    delta: int = 1,
-    steps_default: int = 2,
+    cfg: PipelineConfig,
 ) -> np.ndarray:
-    """Propagate node features through each orbit's motif structure.
+    """Propagate node features through each orbit's motif structure, by
+    ``cfg.diffusion`` over ``cfg.max_steps`` steps, for each of ``cfg.orbits``
+    at ``cfg.delta``.
 
-    LINEAR: step l multiplies by the k-step matrix of ``kind`` at k = l
+    LINEAR: step l multiplies by the k-step matrix of ``cfg.kind`` at k = l
     (kind(W^l), or P^l for the transition kind; see :class:`KStepOperator`).
     TRANSITION_WALK: every step multiplies by the one-step transition matrix
     (zero motif-degree rows stay zero). THETA_SMOOTHING: every step mixes the
     normalized-Laplacian smoothed features with the originals at weight
     theta. Per-orbit results are concatenated and column-normalized.
     """
+    if cfg.diffusion is None:
+        raise ValueError("the pipeline config sets no diffusion")
     if features.shape[0] != g.num_nodes:
         raise ValueError("feature rows must match node count")
-    steps = dcfg.steps if dcfg.steps is not None else steps_default
+    dcfg, steps = cfg.diffusion, cfg.max_steps
     parts = []
-    for orbit in orbits:
-        wg = build_motif_weight_matrix(g, counts, orbit, delta)
+    for orbit in cfg.orbits:
+        wg = build_motif_weight_matrix(g, counts, orbit, cfg.delta)
         current = np.asarray(features, dtype=np.float64)
         if dcfg.variant is DiffusionVariant.LINEAR:
             for step in range(1, steps + 1):
-                current = KStepOperator(wg, kind, step).matmat(current)
+                current = KStepOperator(wg, cfg.kind, step).matmat(current)
         elif dcfg.variant is DiffusionVariant.TRANSITION_WALK:
             current = KStepOperator(wg, MotifMatrixKind.TRANSITION, steps).matmat(current)
         else:
@@ -315,16 +316,7 @@ def embed_graph(
     attributes = None
     if cfg.diffusion is not None:
         base = node_motif_features(g, counts)
-        attributes = diffuse_attributes(
-            g,
-            counts,
-            base,
-            cfg.diffusion,
-            orbits=cfg.orbits,
-            kind=cfg.kind,
-            delta=cfg.delta,
-            steps_default=cfg.max_steps,
-        )
+        attributes = diffuse_attributes(g, counts, base, cfg)
     lap("diffuse")
     blocks = local_embeddings(g, counts, cfg) if blocks is None else _block_prefix(blocks, cfg)
     conc = concatenate_embeddings(blocks, attributes)

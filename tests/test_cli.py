@@ -316,6 +316,38 @@ class TestConfigPrecedence:
         values = read_config_file(str(cfg))
         assert values == {"kind": "p", "skip_header": "true"}
 
+    @pytest.mark.parametrize(
+        "subcommand, settings",
+        [
+            ("count-orbits", {"skip-header": "true", "seed": "5", "workers": "1"}),
+            ("motif-matrix", {"orbit": "2", "kind": "lnorm", "delta": "1", "seed": "2"}),
+            ("embed", {"kind": "lnorm", "dl": "2", "d": "8", "k": "1", "diffusion": "linear",
+                       "seed": "3", "skip-header": "true"}),
+            ("linkpred", {"kind": "p", "dl": "2", "d": "8", "k": "1", "seeds": "1", "seed": "4"}),
+        ],
+    )
+    def test_config_run_equals_flag_run(self, ring_graph, tmp_path, subcommand, settings):
+        flag_out, config_out = tmp_path / "flags.out", tmp_path / "config.out"
+        flags = [tok for key, value in settings.items()
+                 for tok in ([f"--{key}"] if value == "true" else [f"--{key}", value])]
+        assert run_cli([subcommand, "--input", str(ring_graph), *flags, "--out", str(flag_out)])[0] == 0
+        cfg = tmp_path / "run.cfg"
+        # a key the subcommand does not declare is ignored
+        cfg.write_text(f"input={ring_graph}\nbogus=1\n" + "".join(f"{k}={v}\n" for k, v in settings.items()))
+        assert run_cli([subcommand, "--config", str(cfg), "--out", str(config_out)])[0] == 0
+        assert config_out.read_bytes() == flag_out.read_bytes()
+
+    @pytest.mark.parametrize("line, flag", [("dl=abc", "--dl"), ("one_indexed=maybe", "--one-indexed"),
+                                            ("k=auto", "--k"), ("kind=zz", "--kind")])
+    def test_bad_config_value_is_a_one_line_error_naming_the_flag(self, ring_graph, tmp_path, capsys,
+                                                                   line, flag):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"input={ring_graph}\n{line}\n")
+        code, _ = run_cli(["embed", "--config", str(cfg)], capsys=capsys)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: argument {flag}") and err.count("\n") == 1
+
 
 class TestLinkpred:
     def test_report_shape(self, ring_graph, tmp_path):
@@ -416,6 +448,14 @@ class TestBench:
         assert calls == [40, 60]
         assert all("error" not in row for row in rows)
 
+    def test_too_small_size_is_a_failed_row(self, tmp_path):
+        out = tmp_path / "bench.tsv"
+        code, _ = run_cli(["bench", "--sizes", "1,40", "--dl", "2", "--d", "8", "--out", str(out)])
+        assert code == 0
+        text = out.read_text()
+        assert "# size 1 failed: ValueError" in text
+        assert read_body(out) == ["n\tedges\tgenerate_s\tcount_s\tlocal_s\tglobal_s\ttotal_s"]
+
     def test_descending_sizes_rejected(self, capsys):
         code, _ = run_cli(["bench", "--sizes", "100,50"], capsys=capsys)
         assert code == 1
@@ -434,6 +474,35 @@ class TestEntryPoint:
         out = capsys.readouterr().out
         for flag in ("--kind", "--delta", "--dl", "--d", "--k", "--diffusion", "--seeds"):
             assert flag in out
+
+    def test_help_shows_each_default(self, capsys):
+        code, _ = run_cli(["linkpred", "--help"], capsys=capsys)
+        assert code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        for default in ("(default w)", "(default 1)", "(default 16)", "(default 128)",
+                        "(default auto)", "(default none)", "(default 10)", "(default 0;"):
+            assert default in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["embed", "--input", "{input}", "--kind", "zz"],
+            ["embed", "--input", "{input}", "--dl", "abc"],
+            ["embed", "--input", "{input}", "--workers"],
+            ["linkpred", "--input", "{input}", "--seeds", "0"],
+            ["motif-matrix", "--input", "{input}"],
+            ["count-orbits", "--input", "{input}", "--bogus"],
+            ["count-orbits"],
+            ["bench", "--sizes", "1,x"],
+            ["frobnicate"],
+        ],
+    )
+    def test_bad_flag_is_a_one_line_error(self, triangle, capsys, argv):
+        code, _ = run_cli([arg.format(input=triangle) for arg in argv], capsys=capsys)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_no_subcommand_errors(self, capsys):
         code, _ = run_cli([], capsys=capsys)

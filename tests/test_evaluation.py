@@ -10,7 +10,8 @@ from scipy.special import expit
 
 from motifembed import evaluation, pipeline
 from motifembed.evaluation import (
-    DEFAULT_LAMBDA_GRID,
+    LAMBDA_GRID,
+    SELECTION_FRACTION,
     EvalConfig,
     SeedOutcome,
     auc,
@@ -196,7 +197,7 @@ def test_separable_toy_reaches_training_auc_one():
 
 def test_weight_norm_monotone_in_regularization():
     x, y = separable_toy()
-    regs = list(DEFAULT_LAMBDA_GRID) + [1e3, 1e4]
+    regs = list(LAMBDA_GRID) + [1e3, 1e4]
     norms = [np.linalg.norm(fit_logreg(x, y, r).weights) for r in regs]
     assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
     assert norms[-1] < 1e-3  # heavy shrinkage drives w toward zero
@@ -249,7 +250,7 @@ def _objective_and_gradient(coef, x, y, reg):
 @pytest.mark.parametrize("case", [separable_toy, wide_degenerate, logistic_draw])
 def test_fit_logreg_reaches_the_optimum_at_every_lambda(case):
     x, y = case()
-    for reg in list(DEFAULT_LAMBDA_GRID) + [1e3, 1e4]:
+    for reg in list(LAMBDA_GRID) + [1e3, 1e4]:
         model = fit_logreg(x, y, reg)
         obj, grad = _objective_and_gradient(np.append(model.weights, model.bias), x, y, reg)
         assert model.converged
@@ -320,20 +321,19 @@ def test_evaluate_one_seed_deterministic_and_in_range():
     assert a == b
     assert 0.0 <= a.auc <= 1.0
     assert a.chosen_steps in (1, 2)
-    assert a.chosen_lambda in DEFAULT_LAMBDA_GRID
+    assert a.chosen_lambda in LAMBDA_GRID
 
 
 def test_run_experiment_report_shape_and_determinism():
     g = erdos_renyi(35, 0.2, seed=17)
     cfg = EvalConfig(pipeline=TINY_PIPELINE, step_grid=(1,), n_seeds=3, base_seed=2)
-    rep1 = run_experiment(g, cfg, config_echo="case")
-    rep2 = run_experiment(g, cfg, config_echo="case")
+    rep1 = run_experiment(g, cfg)
+    rep2 = run_experiment(g, cfg)
     assert rep1 == rep2
     assert [o.seed for o in rep1.outcomes] == [2, 3, 4]
-    aucs = np.array(rep1.aucs)
+    aucs = np.array([o.auc for o in rep1.outcomes])
     assert rep1.mean_auc == pytest.approx(aucs.mean())
     assert rep1.std_auc == pytest.approx(aucs.std())
-    assert rep1.config_echo == "case"
 
 
 def _protocol_from_scratch(g, cfg, seed):
@@ -342,19 +342,19 @@ def _protocol_from_scratch(g, cfg, seed):
     pairs = np.vstack([split.positives, split.negatives])
     labels = np.concatenate([np.ones(len(split.positives)), np.zeros(len(split.negatives))])
     sub = _selection_subsample(
-        labels, cfg.selection_fraction, np.random.default_rng(np.random.SeedSequence((seed, 0x5B)))
+        labels, SELECTION_FRACTION, np.random.default_rng(np.random.SeedSequence((seed, 0x5B)))
     )
     embed_seed = int(np.random.SeedSequence((cfg.base_seed, seed, 0xEB)).generate_state(1)[0])
     best = None
     for steps in cfg.step_grid:
         step_cfg = replace(cfg.pipeline, max_steps=steps, seed=embed_seed)
         features = edge_features_mean(embed_graph(split.train_graph, step_cfg).embedding.nodes, pairs)
-        for reg in cfg.lambda_grid:
-            score = cross_val_auc(features[sub], labels[sub], reg, folds=cfg.folds, seed=seed)
+        for reg in LAMBDA_GRID:
+            score = cross_val_auc(features[sub], labels[sub], reg, seed=seed)
             if best is None or score > best[0]:
                 best = (score, steps, reg, features)
     _, steps, reg, features = best
-    return SeedOutcome(seed, steps, reg, cross_val_auc(features, labels, reg, folds=cfg.folds, seed=seed))
+    return SeedOutcome(seed, steps, reg, cross_val_auc(features, labels, reg, seed=seed))
 
 
 @pytest.mark.parametrize("diffusion", [None, DiffusionConfig(DiffusionVariant.LINEAR)])

@@ -98,16 +98,6 @@ def test_degrees():
     assert p4.degrees.tolist() == [1, 2, 2, 1]
 
 
-def test_common_neighbors():
-    k4 = complete_graph(4)
-    assert k4.common_neighbors(0, 1).tolist() == [2, 3]
-    p4 = path_graph(4)
-    assert p4.common_neighbors(0, 2).tolist() == [1]
-    assert p4.common_neighbors(0, 3).tolist() == []
-    with pytest.raises(ValueError):
-        p4.common_neighbors(2, 2)
-
-
 def test_edge_ids_cover_range_and_lookup_agrees():
     g = complete_graph(5)
     ids = {g.edge_id(u, v) for u, v in g.edges()}
