@@ -1,8 +1,8 @@
 """Command-line interface: orbit counting, matrix export, embedding,
 link-prediction experiments, and the scaling benchmark.
 
-Every output begins with ``# key=value`` comment lines echoing the resolved
-configuration (including the seed), so any artifact can be reproduced by
+Every output begins with ``# key=value`` comment lines echoing every parsed
+setting (including the seed), so any artifact can be reproduced by
 re-running with the header's values. ``MOTIFEMBED_SEED`` in the environment
 overrides ``--seed`` everywhere.
 """
@@ -14,7 +14,7 @@ import logging
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import scipy.io
@@ -50,8 +50,6 @@ class _Parser(argparse.ArgumentParser):
 
 def read_config_file(path: str) -> dict[str, str]:
     """Parse ``key=value`` lines; '#' starts a comment; keys use flag names."""
-    if not os.path.exists(path):
-        raise CliError(f"config file not found: {path}")
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -92,9 +90,9 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
-            args.seed = int(env)
-        except ValueError:
-            raise CliError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
+            args.seed = _seed(env)
+        except argparse.ArgumentTypeError as exc:
+            raise CliError(f"{SEED_ENV_VAR}: {exc}") from None
     return args
 
 
@@ -124,11 +122,23 @@ def _int_range(low: int, high: int | None = None):
 
 
 _positive_int = _int_range(1)
+_seed = _int_range(0)
 _step_count = _int_range(1, max(DEFAULT_STEP_GRID))
 
 
 def _step_count_or_auto(token: str) -> int | str:
     return token if token == "auto" else _step_count(token)
+
+
+def _positive_float(token: str) -> float:
+    try:
+        value = float(token)
+    except ValueError:
+        value = None
+    # NaN fails both comparisons
+    if value is None or not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {token!r}")
+    return value
 
 
 def _sizes(token: str) -> tuple[int, ...]:
@@ -166,51 +176,47 @@ def _diffusion_token(token: str) -> str:
 # output plumbing
 
 
-def claim_outputs(*paths: str | None) -> None:
-    """Create (or truncate) each output path now, so an unusable path ends
-    the command before its computation rather than after it."""
-    for path in paths:
-        if path is not None:
-            with open(path, "w"):
-                pass
-
-
 @contextmanager
-def open_out(path: str | None):
+def open_out(path: str | None, binary: bool = False):
+    """The output stream: ``path`` opened once, before the command computes,
+    so an unusable path ends the command at once; stdout without a path."""
     if path is None:
-        yield sys.stdout
+        yield sys.stdout.buffer if binary and hasattr(sys.stdout, "buffer") else sys.stdout
     else:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "wb") if binary else open(path, "w", encoding="utf-8") as fh:
             yield fh
 
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
+# namespace entries that are not settings of the run
+_NOT_SETTINGS = frozenset({"verbose", "config", "out", "y_out", "func"})
 
 
-def write_header(stream, subcommand: str, resolved: dict) -> None:
-    stream.write(f"# subcommand={subcommand}\n")
-    for key, value in resolved.items():
-        stream.write(f"# {key}={_format_value(value)}\n")
+def header_lines(args: argparse.Namespace) -> list[str]:
+    """``key=value`` for the subcommand and every setting flag, in the order
+    the flags are declared."""
+    lines = []
+    for key, value in vars(args).items():
+        if key in _NOT_SETTINGS:
+            continue
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        elif isinstance(value, tuple):
+            value = ",".join(map(str, value))
+        lines.append(f"{key}={value}")
+    return lines
 
 
-def header_dict(subcommand: str, resolved: dict) -> str:
-    lines = [f"subcommand={subcommand}"]
-    lines += [f"{k}={_format_value(v)}" for k, v in resolved.items()]
-    return "; ".join(lines)
+def write_header(stream, args: argparse.Namespace, *extra: str) -> None:
+    for line in header_lines(args) + list(extra):
+        stream.write(f"# {line}\n")
 
 
 def load_input_graph(args: argparse.Namespace):
-    if not os.path.exists(args.input):
-        raise CliError(f"input file not found: {args.input}")
-    g = load_edge_list(args.input, one_indexed=args.one_indexed, skip_header=args.skip_header)
-    return g, {"input": args.input, "one_indexed": args.one_indexed, "skip_header": args.skip_header}
+    return load_edge_list(args.input, one_indexed=args.one_indexed, skip_header=args.skip_header)
 
 
-def pipeline_from_args(args: argparse.Namespace, steps: int) -> tuple[PipelineConfig, dict]:
-    cfg = PipelineConfig(
+def pipeline_from_args(args: argparse.Namespace, steps: int) -> PipelineConfig:
+    return PipelineConfig(
         max_steps=steps,
         local_rank=args.dl,
         global_rank=args.d,
@@ -219,8 +225,6 @@ def pipeline_from_args(args: argparse.Namespace, steps: int) -> tuple[PipelineCo
         diffusion=parse_diffusion(args.diffusion),
         seed=args.seed,
     )
-    echo = {"kind": args.kind, "delta": args.delta, "dl": args.dl, "d": args.d, "diffusion": args.diffusion}
-    return cfg, echo
 
 
 # ---------------------------------------------------------------------------
@@ -228,42 +232,29 @@ def pipeline_from_args(args: argparse.Namespace, steps: int) -> tuple[PipelineCo
 
 
 def cmd_count_orbits(args: argparse.Namespace) -> int:
-    g, input_echo = load_input_graph(args)
-    claim_outputs(args.out)
-    counts = count_edge_orbits(g)
-    resolved = {**input_echo, "workers": args.workers, "seed": args.seed}
+    g = load_input_graph(args)
     with open_out(args.out) as out:
-        write_header(out, "count-orbits", resolved)
+        counts = count_edge_orbits(g)
+        write_header(out, args)
         out.write("u\tv\t" + "\t".join(f"O{i}" for i in range(1, NUM_ORBITS + 1)) + "\n")
-        labels = g.labels
-        for idx in range(g.num_edges):
-            row = counts.counts[idx]
-            out.write(
-                f"{labels[g.edge_u[idx]]}\t{labels[g.edge_v[idx]]}\t"
-                + "\t".join(str(int(c)) for c in row)
-                + "\n"
-            )
+        row_format = "%d\t%d" + "\t%d" * NUM_ORBITS + "\n"
+        ends = zip(g.labels[g.edge_u].tolist(), g.labels[g.edge_v].tolist())
+        for (u, v), row in zip(ends, counts.counts.tolist()):
+            out.write(row_format % (u, v, *row))
     return 0
 
 
 def cmd_motif_matrix(args: argparse.Namespace) -> int:
-    g, input_echo = load_input_graph(args)
-    claim_outputs(args.out)
-    counts = count_edge_orbits(g)
-    wg = build_motif_weight_matrix(g, counts, args.orbit, args.delta)
-    matrix = apply_matrix_kind(wg, MotifMatrixKind(args.kind))
-
-    resolved = {**input_echo, "orbit": args.orbit, "kind": args.kind, "delta": args.delta, "seed": args.seed}
-    comment = header_dict("motif-matrix", resolved)
-    # MatrixMarket banner must stay on line one; the config echo follows as
-    # '%' comment lines, so the file still opens with a pure comment block.
-    # A path goes to mmwrite as an open file, which stops scipy from
-    # appending .mtx to a bare name.
-    if args.out is None:
-        scipy.io.mmwrite(sys.stdout.buffer if hasattr(sys.stdout, "buffer") else sys.stdout, matrix, comment=comment)
-    else:
-        with open(args.out, "wb") as fh:
-            scipy.io.mmwrite(fh, matrix, comment=comment)
+    g = load_input_graph(args)
+    # mmwrite gets an open file, which stops scipy from appending .mtx to a
+    # bare name
+    with open_out(args.out, binary=True) as out:
+        counts = count_edge_orbits(g)
+        wg = build_motif_weight_matrix(g, counts, args.orbit, args.delta)
+        matrix = apply_matrix_kind(wg, MotifMatrixKind(args.kind))
+        # the MatrixMarket banner must stay on line one, so the header
+        # follows it as one '%' comment line
+        scipy.io.mmwrite(out, matrix, comment="; ".join(header_lines(args)))
     return 0
 
 
@@ -275,32 +266,28 @@ def _write_vector_tsv(out, labels, matrix) -> None:
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
-    g, input_echo = load_input_graph(args)
-    cfg, cfg_echo = pipeline_from_args(args, args.k)
-    claim_outputs(args.out, args.y_out)
-    result = embed_graph(g, cfg)
-    resolved = {**input_echo, **cfg_echo, "k": args.k, "seed": args.seed, "workers": args.workers}
-    with open_out(args.out) as out:
-        write_header(out, "embed", resolved)
+    g = load_input_graph(args)
+    cfg = pipeline_from_args(args, args.k)
+    y_target = nullcontext() if args.y_out is None else open_out(args.y_out)
+    with open_out(args.out) as out, y_target as y_out:
+        result = embed_graph(g, cfg)
+        write_header(out, args)
         _write_vector_tsv(out, g.labels, result.embedding.nodes)
-    if args.y_out is not None:
-        with open_out(args.y_out) as out:
-            write_header(out, "embed", {**resolved, "matrix": "concatenated"})
-            _write_vector_tsv(out, g.labels, result.concatenated.matrix)
+        if y_out is not None:
+            write_header(y_out, args, "matrix=concatenated")
+            _write_vector_tsv(y_out, g.labels, result.concatenated.matrix)
     return 0
 
 
 def cmd_linkpred(args: argparse.Namespace) -> int:
-    g, input_echo = load_input_graph(args)
+    g = load_input_graph(args)
     step_grid = DEFAULT_STEP_GRID if args.k == "auto" else (args.k,)
-    cfg, cfg_echo = pipeline_from_args(args, max(step_grid))
-    resolved = {**input_echo, **cfg_echo, "k": args.k, "seeds": args.seeds, "seed": args.seed}
-    claim_outputs(args.out)
-    report = run_experiment(
-        g, EvalConfig(pipeline=cfg, step_grid=step_grid, n_seeds=args.seeds, base_seed=args.seed)
-    )
+    cfg = pipeline_from_args(args, max(step_grid))
     with open_out(args.out) as out:
-        write_header(out, "linkpred", resolved)
+        report = run_experiment(
+            g, EvalConfig(pipeline=cfg, step_grid=step_grid, n_seeds=args.seeds, base_seed=args.seed)
+        )
+        write_header(out, args)
         out.write("seed\tk\tauc\n")
         for outcome in report.outcomes:
             out.write(f"{outcome.seed}\t{outcome.chosen_steps}\t{format(outcome.auc, '.17g')}\n")
@@ -356,19 +343,12 @@ def bench_scaling(
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    cfg, cfg_echo = pipeline_from_args(args, args.k)
-    resolved = {
-        "sizes": ",".join(str(s) for s in args.sizes),
-        "avg_degree": args.avg_degree,
-        **cfg_echo,
-        "k": args.k,
-        "seed": args.seed,
-        "workers": args.workers,
-    }
-    claim_outputs(args.out)
-    rows = bench_scaling(args.sizes, args.avg_degree, cfg, seed=args.seed)
+    import resource  # here, so that importing the CLI loads no more modules
+
+    cfg = pipeline_from_args(args, args.k)
     with open_out(args.out) as out:
-        write_header(out, "bench", resolved)
+        rows = bench_scaling(args.sizes, args.avg_degree, cfg, seed=args.seed)
+        write_header(out, args)
         out.write("n\tedges\tgenerate_s\tcount_s\tlocal_s\tglobal_s\ttotal_s\n")
         for row in rows:
             if "error" in row:
@@ -382,6 +362,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 )
                 + "\n"
             )
+        done = [row for row in rows if "error" not in row]
+        if len(done) >= 2:
+            log_n = np.log([row["n"] for row in done])
+            slope = np.polyfit(log_n, np.log([row["total_s"] for row in done]), 1)[0]
+            out.write(f"# loglog_slope={slope:.3f}\n")
+        # ru_maxrss is in KiB on Linux
+        out.write(f"# peak_rss_mib={resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f}\n")
     return 0
 
 
@@ -392,7 +379,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key=value file; flags override its values")
     sub.add_argument("--out", help="output path (default: stdout)")
-    sub.add_argument("--seed", type=int, default=PipelineConfig.seed,
+    sub.add_argument("--seed", type=_seed, default=PipelineConfig.seed,
                      help=f"RNG seed (default %(default)s; env {SEED_ENV_VAR} overrides)")
 
 
@@ -473,7 +460,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = subs.add_parser("bench", help="pipeline scaling benchmark (TSV)")
     p.add_argument("--sizes", type=_sizes, default="1000,10000,100000",
                    help="comma-separated node counts, ascending (default %(default)s)")
-    p.add_argument("--avg-degree", type=float, default=10.0, help="mean degree (default %(default)s)")
+    p.add_argument("--avg-degree", type=_positive_float, default=10.0,
+                   help="mean degree (default %(default)s)")
     _add_common_flags(p)
     _add_workers_flag(p)
     _add_pipeline_flags(p)

@@ -16,9 +16,6 @@ from scipy.sparse.linalg import aslinearoperator
 
 log = logging.getLogger("motifembed.factorize")
 
-# materializing the reconstruction for the residual is only worth it below this
-_RESIDUAL_ENTRY_CAP = 4_194_304
-
 
 def normalize_columns(m: np.ndarray) -> np.ndarray:
     """Scale every nonzero column to unit Euclidean norm; zero columns stay zero."""
@@ -71,8 +68,8 @@ class LowRankFactors:
 
     U carries the singular-value scaling (its columns are not unit norm);
     callers that want unit columns apply :func:`normalize_columns`.
-    ``residual`` is the relative Frobenius reconstruction error, present only
-    when it was cheap to compute. ``objective_path`` holds the per-sweep
+    ``residual`` is the relative Frobenius reconstruction error, set by the
+    solvers of the regularized objective. ``objective_path`` holds the per-sweep
     regularized objective for the coordinate-descent method and the single
     optimal value for the exact method. ``converged`` is set by the solvers
     of the regularized objective: False when coordinate descent stopped at
@@ -87,25 +84,16 @@ class LowRankFactors:
     converged: bool | None = None
 
 
-def _relative_residual(matrix, u: np.ndarray, v: np.ndarray) -> float:
-    dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix, dtype=np.float64)
-    norm = np.linalg.norm(dense)
-    if norm == 0:
-        return 0.0
-    return float(np.linalg.norm(dense - u @ v) / norm)
-
-
 def randomized_low_rank(operator, cfg: FactorizeConfig) -> LowRankFactors:
     """Randomized subspace iteration at rank ``cfg.rank``.
 
-    ``operator`` may be a dense array, a sparse matrix, or any object with
-    ``shape``, ``matmat`` and ``rmatmat`` (a scipy LinearOperator). Draws a
-    Gaussian test block of ``rank + oversample`` columns from ``cfg.seed``,
-    runs ``power_iters`` QR-stabilized power iterations, projects, and takes
-    a small dense SVD. Requires rank + oversample <= min(shape).
+    ``operator`` may be a dense array, a sparse matrix or a scipy
+    LinearOperator. Draws a Gaussian test block of ``rank + oversample``
+    columns from ``cfg.seed``, runs ``power_iters`` QR-stabilized power
+    iterations, projects, and takes a small dense SVD. Requires
+    rank + oversample <= min(shape).
     """
-    materialized = operator if isinstance(operator, np.ndarray) or sp.issparse(operator) else None
-    op = aslinearoperator(operator) if materialized is not None else operator
+    op = aslinearoperator(operator)
     n_rows, n_cols = op.shape
     draw = cfg.rank + cfg.oversample
     if draw > min(n_rows, n_cols):
@@ -131,11 +119,7 @@ def randomized_low_rank(operator, cfg: FactorizeConfig) -> LowRankFactors:
     achieved = int(np.sum(sigma[: cfg.rank] > tol))
     u[:, achieved:] = 0.0
     v[achieved:, :] = 0.0
-
-    residual = None
-    if materialized is not None and n_rows * n_cols <= _RESIDUAL_ENTRY_CAP:
-        residual = _relative_residual(materialized, u, v)
-    return LowRankFactors(U=u, V=v, achieved_rank=achieved, residual=residual)
+    return LowRankFactors(U=u, V=v, achieved_rank=achieved)
 
 
 def exact_factorize(matrix, cfg: FactorizeConfig) -> LowRankFactors:

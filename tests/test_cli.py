@@ -205,23 +205,26 @@ class TestEmbed:
 
     def test_header_values_reproduce_output(self, ring_graph, tmp_path):
         """The reproducibility invariant: re-run with the header's values."""
-        first = tmp_path / "a.tsv"
-        run_cli(["embed", "--input", str(ring_graph), "--dl", "2", "--d", "8",
-                 "--k", "1", "--seed", "9", "--out", str(first)])
-        header = {}
-        for ln in first.read_text().splitlines():
-            if ln.startswith("# ") and "=" in ln:
-                key, _, val = ln[2:].partition("=")
-                header[key] = val
-        second = tmp_path / "b.tsv"
-        args = ["embed", "--input", header["input"], "--kind", header["kind"],
-                "--delta", header["delta"], "--dl", header["dl"], "--d", header["d"],
-                "--k", header["k"], "--diffusion", header["diffusion"],
-                "--seed", header["seed"], "--out", str(second)]
-        if header["one_indexed"] == "true":
-            args.append("--one-indexed")
-        run_cli(args)
-        assert first.read_text() == second.read_text()
+        runs = [
+            ["count-orbits", "--seed", "9"],
+            ["motif-matrix", "--orbit", "2", "--kind", "lnorm", "--seed", "9"],
+            ["embed", "--dl", "2", "--d", "8", "--k", "1", "--diffusion", "linear", "--seed", "9"],
+            ["linkpred", "--kind", "p", "--dl", "2", "--d", "8", "--k", "1", "--seeds", "1", "--seed", "9"],
+        ]
+        for argv in runs:
+            first, second = tmp_path / "a.out", tmp_path / "b.out"
+            assert run_cli([*argv, "--input", str(ring_graph), "--out", str(first)])[0] == 0
+            lines = first.read_text().splitlines()
+            if argv[0] == "motif-matrix":
+                # one '%' comment line after the MatrixMarket banner
+                header = [item for ln in lines[1:] if ln.startswith("%") for item in ln[1:].split("; ")]
+            else:
+                header = [ln[2:] for ln in lines[: next(i for i, ln in enumerate(lines) if ln[0] != "#")]]
+            assert header[0] == f"subcommand={argv[0]}"
+            cfg = tmp_path / "header.cfg"
+            cfg.write_text("".join(line + "\n" for line in header[1:]))
+            assert run_cli([argv[0], "--config", str(cfg), "--out", str(second)])[0] == 0
+            assert second.read_bytes() == first.read_bytes(), argv[0]
 
     def test_rejects_auto_k(self, ring_graph, capsys):
         code, _ = run_cli(["embed", "--input", str(ring_graph), "--k", "auto"],
@@ -302,6 +305,17 @@ class TestConfigPrecedence:
             env_extra={"MOTIFEMBED_SEED": "123"},
         )
         assert "# seed=123" in out.read_text()
+
+    @pytest.mark.parametrize("argv, env, name", [(["--seed", "-1"], None, "argument --seed"),
+                                                 ([], {"MOTIFEMBED_SEED": "-3"}, "MOTIFEMBED_SEED")])
+    def test_negative_seed_fails_before_reading_input(self, ring_graph, capsys, monkeypatch, argv, env, name):
+        read = []
+        monkeypatch.setattr(cli, "load_edge_list", lambda *a, **k: read.append(a))
+        code, _ = run_cli(["embed", "--input", str(ring_graph), *argv], env_extra=env, capsys=capsys)
+        assert code == 1
+        assert read == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name}") and err.count("\n") == 1
 
     def test_bad_config_line(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -431,6 +445,15 @@ class TestBench:
             stages = [float(x) for x in row[2:]]
             assert all(s >= 0 for s in stages)
 
+    def test_table_ends_with_slope_and_peak_rss(self, tmp_path):
+        out = tmp_path / "bench.tsv"
+        code, _ = run_cli(["bench", "--sizes", "60,120", "--dl", "2", "--d", "8", "--out", str(out)])
+        assert code == 0
+        slope, peak = out.read_text().splitlines()[-2:]
+        assert slope.startswith("# loglog_slope=")
+        float(slope.partition("=")[2])
+        assert peak.startswith("# peak_rss_mib=") and float(peak.partition("=")[2]) > 0
+
     def test_diffusion_runs_once_per_size(self, monkeypatch):
         calls = []
         original = pipeline.diffuse_attributes
@@ -495,6 +518,10 @@ class TestEntryPoint:
             ["count-orbits"],
             ["bench", "--sizes", "1,x"],
             ["frobnicate"],
+            ["count-orbits", "--input", "{input}", "--seed", "-1"],
+            ["bench", "--sizes", "20", "--avg-degree", "nan"],
+            ["bench", "--sizes", "20", "--avg-degree", "inf"],
+            ["bench", "--sizes", "20", "--avg-degree", "-2"],
         ],
     )
     def test_bad_flag_is_a_one_line_error(self, triangle, capsys, argv):
@@ -509,10 +536,14 @@ class TestEntryPoint:
         assert code != 0
 
     def test_installed_script(self, triangle):
+        # the directory that holds the package under test, for a checkout
+        # that is not installed
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "motifembed.cli", "count-orbits",
              "--input", str(triangle)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "# subcommand=count-orbits"
