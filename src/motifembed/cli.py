@@ -148,6 +148,8 @@ def _sizes(token: str) -> tuple[int, ...]:
         sizes = ()
     if not sizes:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {token!r}")
+    if list(sizes) != sorted(sizes):
+        raise argparse.ArgumentTypeError(f"sizes must be ascending, got {token!r}")
     return sizes
 
 
@@ -307,11 +309,10 @@ def bench_scaling(
     One row per size: node/edge counts plus wall seconds for graph
     generation, orbit counting, local blocks (with diffusion and the
     concatenation), the global step, and the end-to-end pipeline total
-    (generation excluded). A failing size is reported and the remaining
-    (larger) sizes are skipped.
+    (generation excluded). ``sizes`` ascend (the ``--sizes`` parser checks
+    that); a failing size is reported and the remaining larger sizes are
+    skipped.
     """
-    if list(sizes) != sorted(sizes):
-        raise CliError("--sizes must be ascending")
     cfg = cfg if cfg is not None else PipelineConfig()
     rows: list[dict] = []
     for n in sizes:

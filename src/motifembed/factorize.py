@@ -12,6 +12,7 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh
+from scipy.linalg.lapack import dpotrf, dtrtri
 from scipy.sparse.linalg import aslinearoperator
 
 log = logging.getLogger("motifembed.factorize")
@@ -84,14 +85,59 @@ class LowRankFactors:
     converged: bool | None = None
 
 
+# One CholeskyQR pass leaves an error of about eps·cond(a)² in QᵀQ − I.
+# Past this entry of it, cond(a) nears 1/√eps and Cholesky loses the small
+# directions, so the panel goes to Householder QR instead.
+_MAX_GRAM_DRIFT = 0.5
+
+
+def _orthonormalize(a: np.ndarray, passes: int) -> tuple[np.ndarray, np.ndarray]:
+    """``a = q @ r`` with orthonormal q and upper-triangular r, by CholeskyQR.
+
+    Each pass factors the Gram matrix of the current panel by Cholesky and
+    multiplies the panel by the inverse of the triangle; two passes are
+    CholeskyQR2 (Fukaya et al. 2014). Falls back to Householder QR when
+    Cholesky fails (a rank-deficient panel) or when the second pass's Gram
+    matrix is more than ``_MAX_GRAM_DRIFT`` off the identity in some entry.
+    The LAPACK drivers are called directly: on a 26×26 triangle the checks
+    in ``scipy.linalg.cholesky`` and ``solve_triangular`` cost several times
+    the factorization itself.
+    """
+    q, r = a, None
+    for step in range(passes):
+        gram = q.T @ q
+        if step and np.abs(gram - np.eye(len(gram))).max() > _MAX_GRAM_DRIFT:
+            return np.linalg.qr(a)
+        tri, info = dpotrf(gram)
+        if info:
+            return np.linalg.qr(a)
+        q = q @ dtrtri(tri)[0]
+        r = tri if r is None else tri @ r
+    return q, r
+
+
+def _fix_signs(u: np.ndarray, v: np.ndarray) -> None:
+    """Flip components in place so the largest-|entry| of each row of v is
+    positive; all-zero components stay as they are."""
+    pivot = v[np.arange(v.shape[0]), np.argmax(np.abs(v), axis=1)]
+    sign = np.where(pivot < 0, -1.0, 1.0)
+    u *= sign
+    v *= sign[:, None]
+
+
 def randomized_low_rank(operator, cfg: FactorizeConfig) -> LowRankFactors:
     """Randomized subspace iteration at rank ``cfg.rank``.
 
     ``operator`` may be a dense array, a sparse matrix or a scipy
     LinearOperator. Draws a Gaussian test block of ``rank + oversample``
-    columns from ``cfg.seed``, runs ``power_iters`` QR-stabilized power
-    iterations, projects, and takes a small dense SVD. Requires
-    rank + oversample <= min(shape).
+    columns from ``cfg.seed`` and runs ``power_iters`` power iterations,
+    each panel orthonormalized by one CholeskyQR pass. The range basis q
+    and the projected panel b = Aᵀq are orthonormalized by CholeskyQR2;
+    any of these falls back to Householder QR when the panel is too
+    ill-conditioned for Cholesky. With b = Q_b R_b, the SVD of the small
+    draw×draw matrix R_bᵀ gives the factors (Halko, Martinsson, Tropp
+    2011, §5.1). Each component's sign makes the largest-|entry| of its row
+    of V positive. Requires rank + oversample <= min(shape).
     """
     op = aslinearoperator(operator)
     n_rows, n_cols = op.shape
@@ -105,20 +151,21 @@ def randomized_low_rank(operator, cfg: FactorizeConfig) -> LowRankFactors:
     test = rng.standard_normal((n_cols, draw))
     sample = op.matmat(test)
     for _ in range(cfg.power_iters):
-        q, _ = np.linalg.qr(sample)
-        z, _ = np.linalg.qr(op.rmatmat(q))
+        q, _ = _orthonormalize(sample, passes=1)
+        z, _ = _orthonormalize(op.rmatmat(q), passes=1)
         sample = op.matmat(z)
-    q, _ = np.linalg.qr(sample)
+    q, _ = _orthonormalize(sample, passes=2)
 
-    b = op.rmatmat(q)  # n_cols x draw
-    ub, sigma, vt = np.linalg.svd(b.T, full_matrices=False)
+    qb, rb = _orthonormalize(op.rmatmat(q), passes=2)  # Aᵀq = Q_b R_b, n_cols x draw
+    ub, sigma, wt = np.linalg.svd(rb.T)
     u = q @ (ub[:, : cfg.rank] * sigma[: cfg.rank])
-    v = vt[: cfg.rank, :]
+    v = wt[: cfg.rank] @ qb.T
 
     tol = max(n_rows, n_cols) * np.finfo(np.float64).eps * (sigma[0] if sigma.size else 0.0)
     achieved = int(np.sum(sigma[: cfg.rank] > tol))
     u[:, achieved:] = 0.0
     v[achieved:, :] = 0.0
+    _fix_signs(u, v)
     return LowRankFactors(U=u, V=v, achieved_rank=achieved)
 
 
@@ -153,10 +200,7 @@ def exact_factorize(matrix, cfg: FactorizeConfig) -> LowRankFactors:
         u, v = dense @ (vec * shrink), root[:, None] * vec.T
     else:
         u, v = vec * root, shrink[:, None] * (vec.T @ dense)
-    pivot = v[np.arange(r), np.argmax(np.abs(v), axis=1)]
-    sign = np.where(pivot < 0, -1.0, 1.0)
-    u *= sign
-    v *= sign[:, None]
+    _fix_signs(u, v)
     if r < cfg.rank:
         u = np.hstack([u, np.zeros((n_rows, cfg.rank - r))])
         v = np.vstack([v, np.zeros((cfg.rank - r, n_cols))])

@@ -56,9 +56,12 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
 
 
 def erdos_renyi_average_degree(n: int, avg_degree: float, seed: int) -> Graph:
-    """G(n, p) with p chosen so the expected degree is ``avg_degree``."""
+    """G(n, p) with p chosen so the expected degree is ``avg_degree``, which
+    must not exceed n − 1 (the complete graph)."""
     if n < 2:
         raise ValueError(f"need at least 2 nodes for an average degree, got {n}")
+    if avg_degree > n - 1:
+        raise ValueError(f"average degree {avg_degree:g} exceeds n - 1 = {n - 1}")
     return erdos_renyi(n, avg_degree / (n - 1), seed)
 
 

@@ -479,10 +479,21 @@ class TestBench:
         assert "# size 1 failed: ValueError" in text
         assert read_body(out) == ["n\tedges\tgenerate_s\tcount_s\tlocal_s\tglobal_s\ttotal_s"]
 
-    def test_descending_sizes_rejected(self, capsys):
-        code, _ = run_cli(["bench", "--sizes", "100,50"], capsys=capsys)
+    def test_average_degree_above_n_minus_one_is_a_failed_row(self, tmp_path):
+        out = tmp_path / "bench.tsv"
+        code, _ = run_cli(["bench", "--sizes", "20", "--avg-degree", "1e9", "--out", str(out)])
+        assert code == 0
+        assert "# size 20 failed: ValueError: average degree 1e+09 exceeds n - 1 = 19\n" in out.read_text()
+        assert read_body(out) == ["n\tedges\tgenerate_s\tcount_s\tlocal_s\tglobal_s\ttotal_s"]
+
+    def test_descending_sizes_rejected(self, tmp_path, capsys):
+        out = tmp_path / "bench.tsv"
+        out.write_bytes(b"earlier table\n")
+        code, _ = run_cli(["bench", "--sizes", "100,50", "--out", str(out)], capsys=capsys)
         assert code == 1
-        assert "ascending" in capsys.readouterr().err
+        assert out.read_bytes() == b"earlier table\n"
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "ascending" in err
 
 
 class TestEntryPoint:

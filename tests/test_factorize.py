@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from motifembed import factorize
 from motifembed.factorize import (
     CcdOptions,
     FactorizeConfig,
@@ -9,10 +10,11 @@ from motifembed.factorize import (
     normalize_columns,
     randomized_low_rank,
 )
-from motifembed.generators import erdos_renyi
+from motifembed.generators import erdos_renyi, two_block_sbm
 from motifembed.matrices import MotifMatrixKind, build_motif_weight_matrix
 from motifembed.operators import KStepOperator, dense_kstep
 from motifembed.orbits import count_edge_orbits
+from motifembed.pipeline import PipelineConfig, embed_graph
 
 
 def test_normalize_columns_examples():
@@ -92,6 +94,83 @@ def test_rsvd_determinism():
 def test_rsvd_precondition():
     with pytest.raises(ValueError, match="oversample"):
         randomized_low_rank(np.eye(10), FactorizeConfig(rank=8, oversample=10))
+
+
+@pytest.fixture
+def householder_calls(monkeypatch):
+    """Shapes of the panels passed to Householder QR while the test runs."""
+    calls = []
+    original = np.linalg.qr
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    return calls
+
+
+def test_orthonormalize_well_conditioned_panel(householder_calls):
+    a = np.random.default_rng(30).standard_normal((2000, 26))
+    q, r = factorize._orthonormalize(a, passes=2)
+    assert householder_calls == []
+    assert np.abs(q.T @ q - np.eye(26)).max() <= 1e-12
+    assert np.array_equal(r, np.triu(r))
+    np.testing.assert_allclose(q @ r, a, rtol=0, atol=1e-12 * np.abs(a).max())
+
+
+def _panel_with_spectrum(singular_values, rows, seed):
+    rng = np.random.default_rng(seed)
+    # orthonormal factors from an SVD, so that no Householder QR is counted
+    left = np.linalg.svd(rng.standard_normal((rows, singular_values.size)), full_matrices=False)[0]
+    right = np.linalg.svd(rng.standard_normal((singular_values.size,) * 2))[0]
+    return (left * singular_values) @ right.T
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.random.default_rng(31).standard_normal((300, 4))
+        @ np.random.default_rng(32).standard_normal((4, 26)),  # rank 4 of 26
+        _panel_with_spectrum(np.logspace(0, -10, 26), 300, seed=33),  # cond 1e10
+    ],
+    ids=["rank_deficient", "cond_1e10"],
+)
+def test_orthonormalize_falls_back_to_householder(a, householder_calls):
+    q, r = factorize._orthonormalize(a, passes=2)
+    assert householder_calls == [a.shape]
+    assert np.abs(q.T @ q - np.eye(26)).max() <= 1e-12
+    # q spans the panel's columns: projecting onto it loses nothing
+    assert np.linalg.norm(a - q @ (q.T @ a)) <= 1e-12 * np.linalg.norm(a)
+    np.testing.assert_allclose(q @ r, a, rtol=0, atol=1e-12 * np.abs(a).max())
+
+
+def test_orthonormalize_falls_back_when_the_first_pass_drifts(monkeypatch, householder_calls):
+    # cond 1e6: Cholesky succeeds, and the first pass's QᵀQ is off I by ~1e-5
+    a = _panel_with_spectrum(np.logspace(0, -6, 26), 300, seed=34)
+    factorize._orthonormalize(a, passes=2)
+    assert householder_calls == []
+    monkeypatch.setattr(factorize, "_MAX_GRAM_DRIFT", 1e-9)
+    q, _ = factorize._orthonormalize(a, passes=2)
+    assert householder_calls == [a.shape]
+    assert np.abs(q.T @ q - np.eye(26)).max() <= 1e-12
+
+
+def test_rsvd_takes_no_householder_fallback_on_the_sbm(householder_calls):
+    # criterion 7's SBM, orbit 1, at the pipeline's block shape (rank 16 + 10)
+    sbm, _ = two_block_sbm(200, 0.15, 0.01, seed=1)
+    embed_graph(sbm, PipelineConfig(orbits=(1,), max_steps=2))
+    assert householder_calls == []
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rsvd_sign_rule(seed):
+    rng = np.random.default_rng(40 + seed)
+    s = rng.standard_normal((60, 3)) @ rng.standard_normal((3, 50))
+    s += rng.standard_normal((60, 50)) * 1e-3
+    out = randomized_low_rank(s, FactorizeConfig(rank=6, seed=seed))
+    pivots = np.abs(out.V).argmax(axis=1)
+    assert (out.V[np.arange(6), pivots] > 0).all()
 
 
 def test_ccd_zero_matrix():

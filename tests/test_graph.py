@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motifembed.generators import erdos_renyi_average_degree
 from motifembed.graph import EdgeListParseError, EmptyGraphError, Graph, load_edge_list
 
 
@@ -66,6 +67,12 @@ def test_empty_graph_rejected():
         load_edge_list(io.StringIO("3 3\n"))  # only a self-loop
     with pytest.raises(EmptyGraphError):
         Graph.from_edges(2, [(0, 0), (1, 1)])
+
+
+def test_average_degree_is_capped_at_the_complete_graph():
+    assert erdos_renyi_average_degree(6, 5.0, seed=0).num_edges == 15
+    with pytest.raises(ValueError, match="exceeds n - 1 = 5"):
+        erdos_renyi_average_degree(6, 5.5, seed=0)
 
 
 def test_label_compaction_keeps_order():
