@@ -13,7 +13,7 @@ from scipy.special import expit
 
 from motifembed.graph import Graph
 from motifembed.orbits import count_edge_orbits
-from motifembed.pipeline import PipelineConfig, embed_graph, local_embeddings
+from motifembed.pipeline import PipelineConfig, embed_graph, local_embeddings, orbit_weights
 
 log = logging.getLogger("motifembed.evaluation")
 
@@ -324,7 +324,8 @@ def evaluate_one_seed(g: Graph, cfg: EvalConfig, seed: int) -> SeedOutcome:
     pipeline_cfg = replace(cfg.pipeline, seed=embed_seed)
     train = split.train_graph
     counts = count_edge_orbits(train)
-    blocks = local_embeddings(train, counts, replace(pipeline_cfg, max_steps=max(grid)))
+    weights = orbit_weights(train, counts, pipeline_cfg)
+    blocks = local_embeddings(train, weights, replace(pipeline_cfg, max_steps=max(grid)))
 
     best = None  # (auc, steps, lambda, features)
     for steps in grid:

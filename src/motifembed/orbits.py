@@ -18,19 +18,56 @@ Orbit taxonomy (1-based ids, fixed):
 All counts are induced: a subgraph on a vertex subset contains every edge
 between those vertices.
 
-The counter works on the int64 sparse adjacency A, so every count is exact.
-For edge e = (i, j) let Ri = A[i], Rj = A[j] and C = Ri∘Rj (common
-neighbours). Per edge it takes
+For edge e = (i, j) with common neighbours C = N(i) ∩ N(j) the counter
+takes five raw terms:
 
-  T  = rowsum C                      triangles through e
-  Q  = rowsum((Ri·A)∘Rj) = (A³)ij    3-walks from i to j
-  P  = C·A,  S = rowsum P            degree sum over the common neighbours
-  D  = rowsum(P∘(Ri + Rj))
-  2K = rowsum(P∘C)                   K: 4-cliques through e
+  T  = |C|                           triangles through e
+  Q  = (A³)ij                        3-walks from i to j
+  S  = Σ_{k∈C} d_k                   degree sum over the common neighbours
+  D  = Σ_{k∈C} T(ik) + T(jk)
+  K  = edges among C                 4-cliques through e
 
-and, with node triangles t (half the sum of T over incident edges),
-degrees d, si = di − 1 − T and NS = A·d (neighbour-degree sums), the
-relations of PGD (Ahmed, Neville, Rossi, Duffield, ICDM 2015) give
+It gets them from listings over the degree order: nodes ranked by
+(degree, id), and one CSR over both edge directions whose rows are sorted
+by neighbour rank, every slot carrying its edge id. An oriented wedge
+(v; u; w) is a path v-u-w in which v outranks both u and w; it comes from
+a slot u→v and one of the slots before it in u's row.
+
+  4-cycles  Wedges grouped by the endpoint pair (v, w): a group of c
+            wedges closes c(c−1)/2 4-cycles, each counted exactly once,
+            at its top-ranked vertex v. Every wedge adds c − 1 to both of
+            its edges, which gives C4, the (not necessarily induced)
+            4-cycles through each edge. Q = C4 + di + dj − 1, since a
+            3-walk i-a-b-j not round a 4-cycle has a = j (dj walks) or
+            b = i (di walks), and i-j-i-j has both.
+  triangles The wedges whose centre u is their lowest vertex are the
+            candidates x = u < y = w < z = v; those with y–z an edge list
+            each triangle once, with its three edge ids. T counts them per
+            edge, S adds the third vertex's degree, D adds T(ik) + T(jk).
+  4-cliques For each triangle x < y < z, every w ranked above z in z's
+            row that is adjacent to x and y closes a 4-clique, listed once;
+            it adds 1 to all six of its edges.
+
+Every adjacency test is also the edge-id lookup: one ``searchsorted`` over
+the oriented keys v·n + rank(u) of the edges, v the higher-ranked end,
+which the rank-sorted CSR yields in ascending order. The wedge groups come
+out of their sort with keys of the same form, so their lookups run over
+ascending queries.
+
+Under the degree order the wedges number at most Σₑ min(dᵢ, dⱼ) = O(α·M),
+α the arboricity (Chiba & Nishizeki, SIAM J. Comput. 1985): a hub's
+wedges are paid for by its lower-degree neighbours, never by walking its
+2-hop row. Each triangle's 4-clique candidates, the higher-ranked
+neighbours of its top vertex, are at most √(2M). The wedges go through
+in chunks of at most ``_CHUNK_WEDGES`` (a chunk holds all wedges of its
+top vertices, so one vertex above the bound gets a chunk of its own), and
+the 4-clique candidates in chunks of triangles under the same bound.
+Every sum is int64, so the counts are exact and do not depend on the
+chunking.
+
+With node triangles t (half the sum of T over incident edges), degrees
+d, si = di − 1 − T and NS = A·d (neighbour-degree sums), the relations of
+PGD (Ahmed, Neville, Rossi, Duffield, ICDM 2015) give
 
   O1 = 1,  O2 = si + sj,  O3 = T,  O13 = K,  O12 = T(T−1)/2 − K
   O11 = D − 2T − 4K
@@ -59,9 +96,9 @@ from motifembed.graph import Graph
 
 NUM_ORBITS = 13
 
-# wedges (neighbour-degree sums over both endpoints) per chunk of edges; it
-# bounds the size of the chunk's sparse products, not the edge count
-_CHUNK_WORK = 1 << 19
+# oriented wedges per chunk of top vertices, and 4-clique candidates per
+# chunk of triangles; the bound caps the chunk's working arrays
+_CHUNK_WEDGES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -84,44 +121,135 @@ class EdgeOrbitCounts:
         return self.counts[:, orbit - 1]
 
 
-def _row_sums(x: sp.csr_matrix) -> np.ndarray:
-    return np.asarray(x.sum(axis=1), dtype=np.int64).ravel()
+def _expand(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges [start, start + length) laid end to end: for every
+    position, the index of its range and the position itself."""
+    which = np.repeat(np.arange(lengths.size), lengths)
+    shift = starts - (np.cumsum(lengths) - lengths)
+    return which, np.arange(which.size) + shift[which]
+
+
+def _chunks(cum: np.ndarray, bound: int) -> list[tuple[int, int]]:
+    """Consecutive runs [lo, hi) of units whose work, read off the running
+    total ``cum`` (cum[0] = 0, one entry per unit after it), stays within
+    ``bound``; a unit above the bound is a run of its own."""
+    runs, lo, end = [], 0, cum.size - 1
+    while lo < end:
+        hi = max(lo + 1, int(np.searchsorted(cum, cum[lo] + bound, side="right")) - 1)
+        runs.append((lo, hi))
+        lo = hi
+    return runs
+
+
+def _raw_terms(g: Graph) -> tuple[np.ndarray, ...]:
+    """The per-edge raw terms T, Q, S, D and K of the module docstring,
+    int64 in canonical edge order."""
+    n, m = g.num_nodes, g.num_edges
+    deg = g.degrees.astype(np.int64)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(deg, kind="stable")] = np.arange(n)
+    # the rank-sorted CSR over both directions: slot s leads from src[s] to
+    # nbr[s] along edge[s], and is direction order[s] of the unsorted
+    # concatenation, in which direction i's reverse is i ± m
+    src = np.concatenate([g.edge_u, g.edge_v])
+    nbr = np.concatenate([g.edge_v, g.edge_u])
+    order = np.argsort(src * n + rank[nbr])
+    src, nbr, edge = src[order], nbr[order], order % m
+    off = np.concatenate([[0], np.cumsum(deg)])
+
+    # one entry per edge, from its top (higher-ranked) end v, grouped by v:
+    # the low end u, and the slots before u→v in u's row, which hold the
+    # partners w of u's wedges under v. Each row lists its lower-ranked
+    # neighbours first, so up_start[x] is where x's higher-ranked ones begin.
+    down = np.flatnonzero(rank[nbr] < rank[src])
+    top, low, low_edge = src[down], nbr[down], edge[down]
+    del src
+    slot_of = np.empty(2 * m, dtype=np.int64)
+    slot_of[order] = np.arange(2 * m)
+    wedge_count = slot_of[(order[down] + m) % (2 * m)] - off[low]
+    del order, slot_of, down  # free the 2M-slot temporaries before the wedge loop
+    top_end = np.concatenate([[0], np.cumsum(np.bincount(top, minlength=n))])
+    up_start = off[:-1] + np.diff(top_end)
+    cum = np.concatenate([[0], np.cumsum(wedge_count)])[top_end]
+    # the entries' keys v·n + rank(u) ascend, since every row is sorted
+    pair_keys = top * n + rank[low]
+
+    def edge_ids(keys):
+        """The edge id of each key v·n + rank(u), v above u, or -1 where
+        u–v is not an edge."""
+        ix = np.minimum(np.searchsorted(pair_keys, keys), m - 1)
+        return np.where(pair_keys[ix] == keys, low_edge[ix], -1)
+
+    c4 = np.zeros(m, dtype=np.int64)
+    triangles = []
+    for lo, hi in _chunks(cum, _CHUNK_WEDGES):
+        a, b = top_end[lo], top_end[hi]
+        which, pos = _expand(off[low[a:b]], wedge_count[a:b])
+        which += a
+        pairs, group, size = np.unique(
+            top[which] * n + rank[nbr[pos]], return_inverse=True, return_counts=True
+        )
+        closes = size[group] - 1
+        shared = closes > 0
+        np.add.at(c4, low_edge[which[shared]], closes[shared])
+        np.add.at(c4, edge[pos[shared]], closes[shared])
+        # a wedge whose centre u ranks below w (w sits among u's
+        # higher-ranked neighbours) is a triangle when v–w is an edge
+        e_vw = edge_ids(pairs)[group]
+        keep = (e_vw >= 0) & (pos >= up_start[low[which]])
+        which, pos = which[keep], pos[keep]
+        triangles.append(
+            np.stack([low[which], nbr[pos], top[which], edge[pos], low_edge[which], e_vw[keep]])
+        )
+    # one column per triangle x < y < z (by rank): x, y, z, e_xy, e_xz, e_yz
+    tri_list = np.concatenate(triangles, axis=1)
+    corners, sides = tri_list[:3], tri_list[3:]
+
+    tri = np.bincount(sides.ravel(), minlength=m)
+    q = c4 + deg[g.edge_u] + deg[g.edge_v] - 1
+    s = np.zeros(m, dtype=np.int64)
+    np.add.at(s, sides.ravel(), deg[corners[::-1]].ravel())  # each side's opposite corner
+    side_tri = tri[sides]
+    d = np.zeros(m, dtype=np.int64)
+    np.add.at(d, sides.ravel(), (side_tri.sum(axis=0) - side_tri).ravel())
+
+    k = np.zeros(m, dtype=np.int64)
+    z = corners[2]
+    above = off[z + 1] - up_start[z]
+    for lo, hi in _chunks(np.concatenate([[0], np.cumsum(above)]), _CHUNK_WEDGES):
+        which, pos = _expand(up_start[z[lo:hi]], above[lo:hi])
+        which += lo
+        e_xw = edge_ids(nbr[pos] * n + rank[corners[0, which]])
+        hit = e_xw >= 0
+        which, pos, e_xw = which[hit], pos[hit], e_xw[hit]
+        e_yw = edge_ids(nbr[pos] * n + rank[corners[1, which]])
+        hit = e_yw >= 0
+        clique_edges = [sides[:, which[hit]].ravel(), e_xw[hit], e_yw[hit], edge[pos[hit]]]
+        k += np.bincount(np.concatenate(clique_edges), minlength=m)
+    return tri, q, s, d, k
 
 
 def count_edge_orbits(g: Graph) -> EdgeOrbitCounts:
     """Exact induced orbit counts for every edge.
 
-    Rows follow the graph's canonical edge order. Edges go through the
-    sparse products in chunks of at most ``_CHUNK_WORK`` wedges (a single
-    edge above the bound gets a chunk of its own); the arithmetic is int64
-    throughout, so the counts do not depend on the chunking.
+    Rows follow the graph's canonical edge order. The raw terms come from
+    the degree-ordered listings of the module docstring, and the PGD
+    relations turn them into the 13 orbits; all arithmetic is int64.
     """
-    n, m = g.num_nodes, g.num_edges
+    n = g.num_nodes
     eu, ev = g.edge_u, g.edge_v
-    ones = np.ones(2 * m, dtype=np.int64)
-    a = sp.csr_matrix((ones, (np.concatenate([eu, ev]), np.concatenate([ev, eu]))), shape=(n, n))
     deg = g.degrees.astype(np.int64)
-    nbr_deg = a @ deg  # NS: neighbour-degree sum per node
-    work = np.cumsum(nbr_deg[eu] + nbr_deg[ev])  # wedges up to and including each edge
+    # NS: neighbour-degree sum per node
+    nbr_deg = np.zeros(n, dtype=np.int64)
+    np.add.at(nbr_deg, eu, deg[ev])
+    np.add.at(nbr_deg, ev, deg[eu])
 
-    # every per-edge quantity lives in a column of the final table: the loop
-    # writes T, K and the raw Q, S and D, and the relations below turn Q, S
-    # and D into O7, O10 and O11 in place
-    table = np.empty((m, NUM_ORBITS), dtype=np.int64)
+    # every per-edge quantity lives in a column of the final table: the raw
+    # Q, S and D land in the O7, O10 and O11 columns, and the relations
+    # below turn them into those orbits in place
+    table = np.empty((g.num_edges, NUM_ORBITS), dtype=np.int64)
     o1, o2, tri, o4, o5, o6, o7, o8, o9, o10, o11, o12, k = table.T
-    lo = 0
-    while lo < m:
-        base = work[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(work, base + _CHUNK_WORK, side="right")))
-        ri, rj = a[eu[lo:hi]], a[ev[lo:hi]]
-        common = ri.multiply(rj)
-        p = common @ a
-        tri[lo:hi] = _row_sums(common)
-        o7[lo:hi] = _row_sums((ri @ a).multiply(rj))  # Q
-        o10[lo:hi] = _row_sums(p)  # S
-        o11[lo:hi] = _row_sums(p.multiply(ri + rj))  # D
-        k[lo:hi] = _row_sums(p.multiply(common)) // 2
-        lo = hi
+    tri[:], o7[:], o10[:], o11[:], k[:] = _raw_terms(g)
 
     node_tri = np.zeros(n, dtype=np.int64)
     np.add.at(node_tri, eu, tri)
@@ -217,22 +345,21 @@ def node_motif_features(g: Graph, counts: EdgeOrbitCounts) -> np.ndarray:
     """
     if counts.graph_fingerprint != g.fingerprint():
         raise ValueError("orbit counts were computed for a different graph")
-    n = g.num_nodes
-    table = counts.counts.astype(np.float64)
-    base = np.zeros((n, NUM_ORBITS))
-    np.add.at(base, g.edge_u, table)
-    np.add.at(base, g.edge_v, table)
-
-    nbr_sum = np.zeros_like(base)
-    np.add.at(nbr_sum, g.edge_u, base[g.edge_v])
-    np.add.at(nbr_sum, g.edge_v, base[g.edge_u])
+    n, m = g.num_nodes, g.num_edges
+    ends = np.concatenate([g.edge_u, g.edge_v])
+    ones = np.ones(2 * m)
+    incidence = sp.csr_matrix((ones, (ends, np.tile(np.arange(m), 2))), shape=(n, m))
+    adj = sp.csr_matrix((ones, (ends, np.concatenate([g.edge_v, g.edge_u]))), shape=(n, n))
+    # every summand is an integer count, so these float sums are exact
+    base = incidence @ counts.counts.astype(np.float64)
+    nbr_sum = adj @ base
 
     deg = g.degrees.astype(np.float64)
     inv_deg = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
     nbr_mean = nbr_sum * inv_deg[:, None]
 
-    nbr_max = np.zeros_like(base)
-    np.maximum.at(nbr_max, g.edge_u, base[g.edge_v])
-    np.maximum.at(nbr_max, g.edge_v, base[g.edge_u])
+    nbr_max = np.zeros_like(base)  # degree-0 rows keep a zero max
+    rows = np.flatnonzero(np.diff(adj.indptr))
+    nbr_max[rows] = np.maximum.reduceat(base[adj.indices], adj.indptr[rows], axis=0)
 
     return normalize_columns(np.hstack([base, nbr_sum, nbr_mean, nbr_max]))

@@ -126,10 +126,18 @@ def _block_seed(seed: int, k: int, orbit: int) -> int:
     return int(np.random.SeedSequence((seed, k, orbit)).generate_state(1)[0])
 
 
-def local_embeddings(
+def orbit_weights(
     g: Graph, counts: EdgeOrbitCounts, cfg: PipelineConfig
+) -> dict[int, MotifWeightedGraph]:
+    """The weight matrix of each of ``cfg.orbits`` at ``cfg.delta``."""
+    return {orbit: build_motif_weight_matrix(g, counts, orbit, cfg.delta) for orbit in cfg.orbits}
+
+
+def local_embeddings(
+    g: Graph, weights: dict[int, MotifWeightedGraph], cfg: PipelineConfig
 ) -> list[tuple[int, int, np.ndarray, bool]]:
-    """Column-normalized local factors, one (k, orbit, U, is_zero) per block.
+    """Column-normalized local factors, one (k, orbit, U, is_zero) per block,
+    from the :func:`orbit_weights` of ``g``.
 
     Blocks are produced k-major: every orbit at k=1, then every orbit at k=2,
     and so on. Each U has exactly ``cfg.local_rank`` columns; orbits whose
@@ -140,13 +148,9 @@ def local_embeddings(
     rank_eff = min(cfg.local_rank, n)
     oversample_eff = min(OVERSAMPLE, n - rank_eff)
     out = []
-    weight_cache: dict[int, MotifWeightedGraph] = {}
     for k in range(1, cfg.max_steps + 1):
         for orbit in cfg.orbits:
-            wg = weight_cache.get(orbit)
-            if wg is None:
-                wg = build_motif_weight_matrix(g, counts, orbit, cfg.delta)
-                weight_cache[orbit] = wg
+            wg = weights[orbit]
             if wg.is_empty:
                 log.info("orbit %d has no edges at delta=%d; zero block", orbit, cfg.delta)
                 out.append((k, orbit, np.zeros((n, cfg.local_rank)), True))
@@ -223,13 +227,13 @@ def global_embedding(
 
 def diffuse_attributes(
     g: Graph,
-    counts: EdgeOrbitCounts,
+    weights: dict[int, MotifWeightedGraph],
     features: np.ndarray,
     cfg: PipelineConfig,
 ) -> np.ndarray:
     """Propagate node features through each orbit's motif structure, by
     ``cfg.diffusion`` over ``cfg.max_steps`` steps, for each of ``cfg.orbits``
-    at ``cfg.delta``.
+    (their :func:`orbit_weights` of ``g``).
 
     LINEAR: step l multiplies by the k-step matrix of ``cfg.kind`` at k = l
     (kind(W^l), or P^l for the transition kind; see :class:`KStepOperator`).
@@ -245,7 +249,7 @@ def diffuse_attributes(
     dcfg, steps = cfg.diffusion, cfg.max_steps
     parts = []
     for orbit in cfg.orbits:
-        wg = build_motif_weight_matrix(g, counts, orbit, cfg.delta)
+        wg = weights[orbit]
         current = np.asarray(features, dtype=np.float64)
         if dcfg.variant is DiffusionVariant.LINEAR:
             for step in range(1, steps + 1):
@@ -295,11 +299,11 @@ def embed_graph(
     """Run the whole pipeline: counts, diffusion, local blocks, global factors.
 
     ``counts`` and ``blocks`` let a caller share work across runs on the same
-    graph. ``blocks`` must come from :func:`local_embeddings` on ``g`` and
-    ``counts`` with ``cfg`` at a step count of at least ``cfg.max_steps``
-    (nothing else changed): block seeds depend only on (seed, k, orbit), so
-    the first ``cfg.max_steps`` steps of that set are the blocks this run
-    would build.
+    graph. ``blocks`` must come from :func:`local_embeddings` on the orbit
+    weights of ``g`` and ``counts``, with ``cfg`` at a step count of at least
+    ``cfg.max_steps`` (nothing else changed): block seeds depend only on
+    (seed, k, orbit), so the first ``cfg.max_steps`` steps of that set are
+    the blocks this run would build.
     """
     seconds: dict[str, float] = {}
     clock = time.perf_counter()
@@ -313,12 +317,16 @@ def embed_graph(
     if counts is None:
         counts = count_edge_orbits(g)
     lap("count")
-    attributes = None
+    # each orbit's weight matrix is built once, by the first stage that reads it
+    weights = attributes = None
     if cfg.diffusion is not None:
-        base = node_motif_features(g, counts)
-        attributes = diffuse_attributes(g, counts, base, cfg)
+        weights = orbit_weights(g, counts, cfg)
+        attributes = diffuse_attributes(g, weights, node_motif_features(g, counts), cfg)
     lap("diffuse")
-    blocks = local_embeddings(g, counts, cfg) if blocks is None else _block_prefix(blocks, cfg)
+    if blocks is None:
+        blocks = local_embeddings(g, weights or orbit_weights(g, counts, cfg), cfg)
+    else:
+        blocks = _block_prefix(blocks, cfg)
     conc = concatenate_embeddings(blocks, attributes)
     del blocks, attributes  # conc holds the only copy the global step needs
     lap("local")

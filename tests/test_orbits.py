@@ -201,11 +201,59 @@ def test_oracle_equivalence_hub_heavy(name):
 def test_tiny_chunks_give_identical_counts(monkeypatch):
     g = HUB_GRAPHS["skewed3"]
     whole = count_edge_orbits(g).counts
-    # a bound below every edge's work puts each edge in a chunk of its own
-    monkeypatch.setattr(orbits, "_CHUNK_WORK", 1)
-    np.testing.assert_array_equal(count_edge_orbits(g).counts, whole)
-    monkeypatch.setattr(orbits, "_CHUNK_WORK", 50)
-    np.testing.assert_array_equal(count_edge_orbits(g).counts, whole)
+    runs = []  # (running work total, runs) per _chunks call; the first splits the wedges
+
+    def recording(cum, bound):
+        out = real_chunks(cum, bound)
+        runs.append((cum, out))
+        return out
+
+    real_chunks = orbits._chunks
+    monkeypatch.setattr(orbits, "_chunks", recording)
+    count_edge_orbits(g)
+    total_wedges = int(runs[0][0][-1])
+    # bound 1 gives every top vertex with wedges a chunk of its own; a
+    # middle bound still splits the graph into several chunks
+    for bound in (1, total_wedges // 4):
+        runs.clear()
+        monkeypatch.setattr(orbits, "_CHUNK_WEDGES", bound)
+        np.testing.assert_array_equal(count_edge_orbits(g).counts, whole)
+        cum, wedge_runs = runs[0]
+        work = np.diff(cum)
+        assert len(wedge_runs) > 1
+        assert [lo for lo, _ in wedge_runs] == [0] + [hi for _, hi in wedge_runs[:-1]]
+        assert wedge_runs[-1][1] == work.size
+        for lo, hi in wedge_runs:
+            assert work[lo:hi].sum() <= bound or hi == lo + 1
+
+
+def dense_raw_terms(g):
+    """T, Q, S, D and K from the dense adjacency matrix, in edge order."""
+    a = np.zeros((g.num_nodes, g.num_nodes), dtype=np.int64)
+    a[g.edge_u, g.edge_v] = a[g.edge_v, g.edge_u] = 1
+    a2 = a @ a
+    tri = a2 * a
+    common = a[g.edge_u] * a[g.edge_v]
+    ends = (g.edge_u, g.edge_v)
+    return (
+        a2[ends],
+        (a2 @ a)[ends],
+        ((a * a.sum(axis=1)) @ a)[ends],
+        (tri @ a + a @ tri)[ends],
+        ((common @ a) * common).sum(axis=1) // 2,
+    )
+
+
+def assert_raw_terms_match_dense(g):
+    for name, fast, dense in zip("TQSDK", orbits._raw_terms(g), dense_raw_terms(g)):
+        np.testing.assert_array_equal(fast, dense, err_msg=f"raw term {name}")
+
+
+@pytest.mark.parametrize("g", [skewed(300, 11), wheel(260)], ids=["chung_lu300", "wheel260"])
+def test_raw_terms_match_dense_products_on_hub_graphs(g):
+    # above the oracle's node cap, with a hub of degree >= 100
+    assert 200 <= g.num_nodes <= 400 and g.degrees.max() >= 100
+    assert_raw_terms_match_dense(g)
 
 
 @st.composite
@@ -214,6 +262,18 @@ def small_graphs(draw):
     possible = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = draw(st.lists(st.sampled_from(possible), min_size=1, max_size=len(possible)))
     return Graph.from_edges(n, edges)
+
+
+@st.composite
+def hub_graphs(draw):
+    """A star joined to a small random graph; the hub's id is drawn, so the
+    degree order differs from the id order."""
+    n = draw(st.integers(min_value=6, max_value=16))
+    hub = draw(st.integers(min_value=0, max_value=n - 1))
+    leaves = draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=4, unique=True))
+    possible = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(possible), max_size=2 * n))
+    return Graph.from_edges(n, [(hub, leaf) for leaf in leaves] + edges)
 
 
 @settings(max_examples=50, deadline=None)
@@ -243,7 +303,7 @@ def test_automorphism_invariance_property(g, pyrng):
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_graphs())
+@given(st.one_of(small_graphs(), hub_graphs()))
 def test_counts_match_oracle_property(g):
     np.testing.assert_array_equal(
         count_edge_orbits(g).counts, brute_force_orbit_counts(g).counts

@@ -9,6 +9,7 @@ from motifembed.graph import Graph
 from motifembed.matrices import MotifMatrixKind, build_motif_weight_matrix
 from motifembed.operators import dense_kstep
 from motifembed.orbits import NUM_ORBITS, count_edge_orbits, node_motif_features
+from motifembed import pipeline
 from motifembed.pipeline import (
     ColumnBlock,
     ConcatenatedEmbeddings,
@@ -21,6 +22,7 @@ from motifembed.pipeline import (
     embed_graph,
     global_embedding,
     local_embeddings,
+    orbit_weights,
 )
 
 TRIANGLE = complete_graph(3)
@@ -30,6 +32,14 @@ def wrap(matrix):
     return ConcatenatedEmbeddings(
         matrix, (ColumnBlock("orbit", 0, matrix.shape[1], orbit=1, k=1),)
     )
+
+
+def blocks_of(g, counts, cfg):
+    return local_embeddings(g, orbit_weights(g, counts, cfg), cfg)
+
+
+def diffused(g, counts, x, cfg):
+    return diffuse_attributes(g, orbit_weights(g, counts, cfg), x, cfg)
 
 
 def spectrum_matrix(rows=25, cols=18, rank=12, seed=5):
@@ -47,7 +57,7 @@ def test_block_layout_is_k_major_and_full_width():
     g = erdos_renyi(30, 0.3, seed=1)
     cfg = PipelineConfig(max_steps=2, local_rank=16)
     counts = count_edge_orbits(g)
-    blocks = local_embeddings(g, counts, cfg)
+    blocks = blocks_of(g, counts, cfg)
     conc = concatenate_embeddings(blocks)
     assert conc.matrix.shape == (30, 13 * 2 * 16)
     expected_order = [(k, t) for k in (1, 2) for t in range(1, NUM_ORBITS + 1)]
@@ -60,7 +70,7 @@ def test_attributes_appended_last():
     g = erdos_renyi(20, 0.3, seed=2)
     cfg = PipelineConfig(max_steps=2, local_rank=16)
     counts = count_edge_orbits(g)
-    blocks = local_embeddings(g, counts, cfg)
+    blocks = blocks_of(g, counts, cfg)
     attrs = np.ones((20, 52))
     conc = concatenate_embeddings(blocks, attrs)
     assert conc.matrix.shape[1] == 416 + 52
@@ -73,7 +83,7 @@ def test_empty_orbits_give_flagged_zero_blocks_of_full_width():
     # a triangle has no wedges and no 4-node motifs: only orbits 1 and 3 carry weight
     counts = count_edge_orbits(TRIANGLE)
     cfg = PipelineConfig(max_steps=1, local_rank=4)
-    blocks = local_embeddings(TRIANGLE, counts, cfg)
+    blocks = blocks_of(TRIANGLE, counts, cfg)
     flags = {orbit: is_zero for _, orbit, _, is_zero in blocks}
     assert flags[1] is False and flags[3] is False
     assert all(flags[t] for t in range(1, 14) if t not in (1, 3))
@@ -165,7 +175,7 @@ def diffusing(variant, steps, theta=None, **fields):
 def test_transition_walk_one_step_on_triangle():
     counts = count_edge_orbits(TRIANGLE)
     x = np.array([[1.0], [0.0], [0.0]])
-    out = diffuse_attributes(TRIANGLE, counts, x, diffusing(DiffusionVariant.TRANSITION_WALK, 1, orbits=(3,)))
+    out = diffused(TRIANGLE, counts, x, diffusing(DiffusionVariant.TRANSITION_WALK, 1, orbits=(3,)))
     expect = normalize_columns(np.array([[0.0], [0.5], [0.5]]))
     np.testing.assert_allclose(out, expect, atol=1e-12)
 
@@ -175,7 +185,7 @@ def test_linear_diffusion_applies_growing_powers():
     # steps map e1 through W then W^2: (1,0,0) -> (0,1,1) -> (2,3,3)
     counts = count_edge_orbits(TRIANGLE)
     x = np.array([[1.0], [0.0], [0.0]])
-    out = diffuse_attributes(TRIANGLE, counts, x, diffusing(DiffusionVariant.LINEAR, 2, orbits=(3,)))
+    out = diffused(TRIANGLE, counts, x, diffusing(DiffusionVariant.LINEAR, 2, orbits=(3,)))
     expect = normalize_columns(np.array([[2.0], [3.0], [3.0]]))
     np.testing.assert_allclose(out, expect, atol=1e-12)
 
@@ -186,7 +196,7 @@ def test_linear_diffusion_applies_the_kstep_matrices(kind):
     g = erdos_renyi(20, 0.3, seed=3)
     counts = count_edge_orbits(g)
     x = np.random.default_rng(1).normal(size=(20, 2))
-    out = diffuse_attributes(g, counts, x, diffusing(DiffusionVariant.LINEAR, 3, orbits=(2,), kind=kind))
+    out = diffused(g, counts, x, diffusing(DiffusionVariant.LINEAR, 3, orbits=(2,), kind=kind))
     wg = build_motif_weight_matrix(g, counts, 2)
     expect = x
     for step in (1, 2, 3):
@@ -198,7 +208,7 @@ def test_theta_one_is_a_fixed_point():
     g = erdos_renyi(12, 0.4, seed=4)
     counts = count_edge_orbits(g)
     x = np.random.default_rng(0).normal(size=(12, 3))
-    out = diffuse_attributes(
+    out = diffused(
         g, counts, x, diffusing(DiffusionVariant.THETA_SMOOTHING, 3, theta=1.0, orbits=(1, 2))
     )
     np.testing.assert_allclose(out, normalize_columns(np.hstack([x, x])), atol=1e-12)
@@ -209,8 +219,8 @@ def test_transition_walk_preserves_constant_columns_on_support():
     g = erdos_renyi(25, 0.3, seed=5)
     counts = count_edge_orbits(g)
     ones = np.ones((25, 1))
-    one = diffuse_attributes(g, counts, ones, diffusing(DiffusionVariant.TRANSITION_WALK, 1, orbits=(1,)))
-    three = diffuse_attributes(g, counts, ones, diffusing(DiffusionVariant.TRANSITION_WALK, 3, orbits=(1,)))
+    one = diffused(g, counts, ones, diffusing(DiffusionVariant.TRANSITION_WALK, 1, orbits=(1,)))
+    three = diffused(g, counts, ones, diffusing(DiffusionVariant.TRANSITION_WALK, 3, orbits=(1,)))
     np.testing.assert_allclose(one, three, atol=1e-12)
     np.testing.assert_allclose(one, np.full((25, 1), 1.0 / np.sqrt(25)), atol=1e-12)
 
@@ -257,7 +267,7 @@ def test_embed_graph_takes_the_step_prefix_of_given_blocks():
     g = erdos_renyi(30, 0.2, seed=4)
     counts = count_edge_orbits(g)
     cfg = PipelineConfig(orbits=(1, 3), max_steps=2, local_rank=3, global_rank=6, seed=9)
-    blocks = local_embeddings(g, counts, replace(cfg, max_steps=3))
+    blocks = blocks_of(g, counts, replace(cfg, max_steps=3))
     shared = embed_graph(g, cfg, counts=counts, blocks=blocks)
     fresh = embed_graph(g, cfg)
     assert shared.embedding.nodes.tobytes() == fresh.embedding.nodes.tobytes()
@@ -268,11 +278,32 @@ def test_embed_graph_rejects_blocks_that_do_not_cover_the_steps():
     g = erdos_renyi(30, 0.2, seed=4)
     counts = count_edge_orbits(g)
     cfg = PipelineConfig(orbits=(1, 3), max_steps=2, local_rank=3, global_rank=6)
-    short = local_embeddings(g, counts, PipelineConfig(orbits=(1, 3), max_steps=1, local_rank=3))
-    other_orbits = local_embeddings(g, counts, PipelineConfig(orbits=(3, 1), max_steps=2, local_rank=3))
+    short = blocks_of(g, counts, PipelineConfig(orbits=(1, 3), max_steps=1, local_rank=3))
+    other_orbits = blocks_of(g, counts, PipelineConfig(orbits=(3, 1), max_steps=2, local_rank=3))
     for blocks in (short, other_orbits):
         with pytest.raises(ValueError, match="max_steps=2"):
             embed_graph(g, cfg, counts=counts, blocks=blocks)
+
+
+@pytest.mark.parametrize("diffusion", [None, DiffusionConfig(DiffusionVariant.LINEAR)])
+def test_embed_graph_builds_each_weight_matrix_once(monkeypatch, diffusion):
+    g = erdos_renyi(25, 0.3, seed=8)
+    counts = count_edge_orbits(g)
+    cfg = PipelineConfig(max_steps=2, local_rank=3, global_rank=6, diffusion=diffusion)
+    built = []
+
+    def counting(graph, orbit_counts, orbit, delta=1):
+        built.append(orbit)
+        return build_motif_weight_matrix(graph, orbit_counts, orbit, delta)
+
+    monkeypatch.setattr(pipeline, "build_motif_weight_matrix", counting)
+    embed_graph(g, cfg, counts=counts)
+    assert built == list(range(1, NUM_ORBITS + 1))
+    # given blocks and no diffusion, no stage reads a weight matrix
+    blocks = blocks_of(g, counts, cfg)
+    built.clear()
+    embed_graph(g, replace(cfg, diffusion=None), counts=counts, blocks=blocks)
+    assert built == []
 
 
 def test_embed_graph_seed_changes_output():
