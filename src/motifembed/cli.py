@@ -17,7 +17,6 @@ import time
 from contextlib import contextmanager, nullcontext
 
 import numpy as np
-import scipy.io
 
 from motifembed.evaluation import DEFAULT_STEP_GRID, EvalConfig, run_experiment
 from motifembed.generators import erdos_renyi_average_degree
@@ -148,6 +147,8 @@ def _sizes(token: str) -> tuple[int, ...]:
         sizes = ()
     if not sizes:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {token!r}")
+    if min(sizes) < 2:  # the generator's smallest graph
+        raise argparse.ArgumentTypeError(f"sizes must be at least 2, got {token!r}")
     if list(sizes) != sorted(sizes):
         raise argparse.ArgumentTypeError(f"sizes must be ascending, got {token!r}")
     return sizes
@@ -247,6 +248,8 @@ def cmd_count_orbits(args: argparse.Namespace) -> int:
 
 
 def cmd_motif_matrix(args: argparse.Namespace) -> int:
+    import scipy.io  # here, so that importing the CLI loads no more modules
+
     g = load_input_graph(args)
     # mmwrite gets an open file, which stops scipy from appending .mtx to a
     # bare name

@@ -52,6 +52,15 @@ def run_cli(args, env_extra=None, capsys=None):
     return code, ""
 
 
+def run_python(args):
+    """A fresh interpreter that imports the package under test, also from a
+    checkout that is not installed."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": pythonpath})
+
+
 def read_body(path):
     """File content minus the leading comment header."""
     lines = path.read_text().splitlines()
@@ -471,14 +480,6 @@ class TestBench:
         assert calls == [40, 60]
         assert all("error" not in row for row in rows)
 
-    def test_too_small_size_is_a_failed_row(self, tmp_path):
-        out = tmp_path / "bench.tsv"
-        code, _ = run_cli(["bench", "--sizes", "1,40", "--dl", "2", "--d", "8", "--out", str(out)])
-        assert code == 0
-        text = out.read_text()
-        assert "# size 1 failed: ValueError" in text
-        assert read_body(out) == ["n\tedges\tgenerate_s\tcount_s\tlocal_s\tglobal_s\ttotal_s"]
-
     def test_average_degree_above_n_minus_one_is_a_failed_row(self, tmp_path):
         out = tmp_path / "bench.tsv"
         code, _ = run_cli(["bench", "--sizes", "20", "--avg-degree", "1e9", "--out", str(out)])
@@ -494,6 +495,17 @@ class TestBench:
         assert out.read_bytes() == b"earlier table\n"
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "ascending" in err
+
+    @pytest.mark.parametrize("sizes", ["-5,10", "0,1", "1,40"])
+    def test_sizes_below_two_rejected(self, tmp_path, capsys, sizes):
+        out = tmp_path / "bench.tsv"
+        out.write_bytes(b"earlier table\n")
+        code, _ = run_cli(["bench", f"--sizes={sizes}", "--out", str(out)], capsys=capsys)
+        assert code == 1
+        assert out.read_bytes() == b"earlier table\n"
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --sizes: ") and err.count("\n") == 1
+        assert "at least 2" in err
 
 
 class TestEntryPoint:
@@ -547,17 +559,15 @@ class TestEntryPoint:
         assert code != 0
 
     def test_installed_script(self, triangle):
-        # the directory that holds the package under test, for a checkout
-        # that is not installed
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "motifembed.cli", "count-orbits",
-             "--input", str(triangle)],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
-        )
+        proc = run_python(["-m", "motifembed.cli", "count-orbits", "--input", str(triangle)])
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "# subcommand=count-orbits"
+
+    def test_import_loads_neither_scipy_special_nor_scipy_io(self):
+        probe = "import sys, motifembed.cli; print([m for m in ('scipy.special', 'scipy.io') if m in sys.modules])"
+        proc = run_python(["-c", probe])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_unknown_diffusion_token(self, triangle, capsys):
         code, _ = run_cli(

@@ -22,6 +22,7 @@ from motifembed.evaluation import (
     fit_logreg,
     make_split,
     run_experiment,
+    _logistic,
     _selection_subsample,
     _stratified_folds,
 )
@@ -203,10 +204,25 @@ def test_weight_norm_monotone_in_regularization():
     assert norms[-1] < 1e-3  # heavy shrinkage drives w toward zero
 
 
+def test_logistic_matches_expit_without_overflow():
+    z = np.concatenate([np.linspace(-745.0, 745.0, 200_001), [-0.0, 1e-300, -1e-300]])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = _logistic(z)
+        tails = _logistic(np.array([-np.inf, -1e308, 1e308, np.inf]))
+    want = expit(z)
+    # below z ≈ −709.78 expit's exp(−z) overflows and it returns 0; the true
+    # value, which _logistic keeps, is then under the smallest normal double
+    tiny = np.finfo(np.float64).tiny
+    assert np.all(np.abs(got - want) <= np.where(want >= tiny, 4 * np.spacing(want), tiny))
+    np.testing.assert_array_equal(tails, [0.0, 0.0, 1.0, 1.0])
+
+
 def test_fit_logreg_validates_labels():
     x = np.zeros((4, 1))
     with pytest.raises(ValueError, match="0/1"):
         fit_logreg(x, np.array([0.0, 1.0, 2.0, 0.0]), 0.1)
+    with pytest.raises(ValueError, match="0/1"):
+        fit_logreg(x, np.array([0.0, 1.0, np.nan, 0.0]), 0.1)
     with pytest.raises(ValueError, match="both classes"):
         fit_logreg(x, np.ones(4), 0.1)
 

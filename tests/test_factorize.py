@@ -279,7 +279,9 @@ def _objective(y, u, v, reg):
     )
 
 
-@pytest.mark.parametrize("shape", [(60, 25), (25, 60)])
+# a smaller side of 25 takes the Gram's whole spectrum (4·7 > 25), one of 40
+# its top-7 index subset (4·7 <= 40)
+@pytest.mark.parametrize("shape", [(60, 25), (25, 60), (60, 40), (40, 60)])
 @pytest.mark.parametrize("reg", [0.0, 1e-4, 0.5])
 def test_exact_matches_svd_optimum(shape, reg):
     y = np.random.default_rng(20).standard_normal(shape)
