@@ -319,10 +319,10 @@ def evaluate_one_seed(g: Graph, cfg: EvalConfig, seed: int) -> SeedOutcome:
     pairs at the chosen setting.
 
     The train graph's orbits are counted once, and its local blocks are
-    built once at the largest step count of the grid. Each grid step then
-    runs :func:`embed_graph` on the first ``steps`` steps of those blocks,
-    with its own diffusion and global fusion; the result equals a run from
-    scratch at that step count.
+    built once, into one matrix, at the largest step count of the grid.
+    Each grid step then runs :func:`embed_graph` on the column prefix that
+    holds the first ``steps`` steps, with its own diffusion and global
+    fusion; the result equals a run from scratch at that step count.
     """
     split = make_split(g, seed)
     pairs, labels = _labeled_pairs(split)
@@ -335,11 +335,11 @@ def evaluate_one_seed(g: Graph, cfg: EvalConfig, seed: int) -> SeedOutcome:
     train = split.train_graph
     counts = count_edge_orbits(train)
     weights = orbit_weights(train, counts, pipeline_cfg)
-    blocks = local_embeddings(train, weights, replace(pipeline_cfg, max_steps=max(grid)))
+    local = local_embeddings(train, weights, replace(pipeline_cfg, max_steps=max(grid)))
 
     best = None  # (auc, steps, lambda, features)
     for steps in grid:
-        result = embed_graph(train, replace(pipeline_cfg, max_steps=steps), counts=counts, blocks=blocks)
+        result = embed_graph(train, replace(pipeline_cfg, max_steps=steps), counts=counts, local=local)
         features = edge_features_mean(result.embedding.nodes, pairs)
         for reg in LAMBDA_GRID:
             score = cross_val_auc(features[sub], labels[sub], reg, seed=seed)

@@ -160,25 +160,6 @@ class Graph:
         h.update(self.labels.tobytes())
         return h.hexdigest()
 
-    # -- serialization ----------------------------------------------------
-
-    def to_edge_list_lines(self) -> list[str]:
-        """Canonical edge list using original labels.
-
-        Isolated nodes are written as self-loop lines, which the loader drops
-        as edges but keeps as nodes, so load(dump(g)) == g exactly.
-        """
-        lab = self.labels
-        rows = [(int(lab[u]), int(lab[v])) for u, v in zip(self.edge_u, self.edge_v)]
-        iso = np.flatnonzero(self.degrees == 0)
-        rows.extend((int(lab[u]), int(lab[u])) for u in iso)
-        rows.sort()
-        return [f"{a} {b}" for a, b in rows]
-
-    def write_edge_list(self, stream: IO[str]) -> None:
-        for line in self.to_edge_list_lines():
-            stream.write(line + "\n")
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented

@@ -70,10 +70,9 @@ def build_motif_weight_matrix(
     return MotifWeightedGraph(matrix=mat, orbit=orbit, delta=delta, is_empty=not bool(keep.any()))
 
 
-def motif_degrees(wg: MotifWeightedGraph | sp.spmatrix) -> np.ndarray:
+def motif_degrees(wg: MotifWeightedGraph) -> np.ndarray:
     """Row sums of the weight matrix (total motif mass incident per node)."""
-    mat = wg.matrix if isinstance(wg, MotifWeightedGraph) else wg
-    return np.asarray(mat.sum(axis=1)).ravel()
+    return np.asarray(wg.matrix.sum(axis=1)).ravel()
 
 
 def kind_form(deg: np.ndarray, kind: MotifMatrixKind):

@@ -2,12 +2,13 @@
 
 For every (step k, orbit t) pair: threshold the orbit's counts into a weight
 matrix, wrap the implicit k-step operator for the configured matrix kind,
-factorize it at the local rank, and column-normalize the left factors. The
-blocks are concatenated side by side in k-major order (all orbits for k=1,
-then k=2, ...), optionally followed by diffused node features, and the
-resulting wide matrix is factorized once more at the global rank, by the
-exact minimizer of the regularized fusion objective. Rows of the global
-left factor are the node embeddings.
+factorize it at the local rank, and column-normalize the left factors. Each
+block is written into its own columns of one local-block matrix, in k-major
+order (all orbits for k=1, then k=2, ...), so the blocks of the first s steps
+are a column prefix. That prefix, optionally followed by diffused node
+features, is factorized once more at the global rank, by the exact minimizer
+of the regularized fusion objective. Rows of the global left factor are the
+node embeddings.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import logging
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,33 +87,35 @@ class PipelineConfig:
             raise ValueError("orbits must not repeat")
 
 
-@dataclass(frozen=True)
-class ColumnBlock:
-    """Provenance of one column range of the concatenated matrix."""
+class Block(NamedTuple):
+    """One column range of a local-block matrix: the factor of ``orbit`` at
+    step ``k``, or the diffused attributes when both are None."""
 
-    tag: str  # "orbit" or "attributes"
-    start: int
-    stop: int
-    orbit: int | None = None
-    k: int | None = None
+    k: int | None
+    orbit: int | None
+    columns: slice
     is_zero: bool = False
 
 
 @dataclass(frozen=True)
 class ConcatenatedEmbeddings:
+    """A local-block matrix and the records of its blocks, in column order;
+    iterating yields the records."""
+
     matrix: np.ndarray
-    blocks: tuple[ColumnBlock, ...]
+    blocks: tuple[Block, ...]
 
     def __post_init__(self):
-        if self.blocks:
-            covered = [(b.start, b.stop) for b in self.blocks]
-            pos = 0
-            for start, stop in covered:
-                if start != pos or stop < start:
-                    raise ValueError("blocks must tile the columns exactly")
-                pos = stop
-            if pos != self.matrix.shape[1]:
+        pos = 0
+        for block in self.blocks:
+            if block.columns.start != pos or block.columns.stop < pos:
                 raise ValueError("blocks must tile the columns exactly")
+            pos = block.columns.stop
+        if pos != self.matrix.shape[1]:
+            raise ValueError("blocks must tile the columns exactly")
+
+    def __iter__(self):
+        return iter(self.blocks)
 
 
 @dataclass(frozen=True)
@@ -133,28 +138,36 @@ def orbit_weights(
     return {orbit: build_motif_weight_matrix(g, counts, orbit, cfg.delta) for orbit in cfg.orbits}
 
 
+def _layout(cfg: PipelineConfig) -> list[tuple[int, int, slice]]:
+    """(k, orbit, columns) of every local block, k-major, ``cfg.local_rank`` wide."""
+    r = cfg.local_rank
+    pairs = product(range(1, cfg.max_steps + 1), cfg.orbits)
+    return [(k, orbit, slice(i * r, (i + 1) * r)) for i, (k, orbit) in enumerate(pairs)]
+
+
 def local_embeddings(
     g: Graph, weights: dict[int, MotifWeightedGraph], cfg: PipelineConfig
-) -> list[tuple[int, int, np.ndarray, bool]]:
-    """Column-normalized local factors, one (k, orbit, U, is_zero) per block,
-    from the :func:`orbit_weights` of ``g``.
+) -> ConcatenatedEmbeddings:
+    """The read-only local-block matrix of ``g``, from its :func:`orbit_weights`.
 
-    Blocks are produced k-major: every orbit at k=1, then every orbit at k=2,
-    and so on. Each U has exactly ``cfg.local_rank`` columns; orbits whose
-    weight matrix is empty at the configured delta give all-zero blocks, and
-    rank shortfalls are zero-padded so the layout never varies.
+    The matrix is Fortran-ordered and starts at zero; each block's
+    column-normalized factor is written into its own ``cfg.local_rank``
+    columns, k-major: every orbit at k=1, then every orbit at k=2, and so
+    on. Orbits whose weight matrix is empty at the configured delta keep
+    all-zero blocks, and a rank shortfall leaves the trailing columns of a
+    block zero, so the layout never varies.
     """
     n = g.num_nodes
     rank_eff = min(cfg.local_rank, n)
     oversample_eff = min(OVERSAMPLE, n - rank_eff)
-    out = []
-    for k in range(1, cfg.max_steps + 1):
-        for orbit in cfg.orbits:
-            wg = weights[orbit]
-            if wg.is_empty:
-                log.info("orbit %d has no edges at delta=%d; zero block", orbit, cfg.delta)
-                out.append((k, orbit, np.zeros((n, cfg.local_rank)), True))
-                continue
+    layout = _layout(cfg)
+    matrix = np.zeros((n, len(layout) * cfg.local_rank), order="F")
+    blocks = []
+    for k, orbit, columns in layout:
+        wg = weights[orbit]
+        if wg.is_empty:
+            log.info("orbit %d has no edges at delta=%d; zero block", orbit, cfg.delta)
+        else:
             op = KStepOperator(wg, cfg.kind, k)
             fac_cfg = FactorizeConfig(
                 rank=rank_eff,
@@ -163,39 +176,10 @@ def local_embeddings(
                 seed=_block_seed(cfg.seed, k, orbit),
             )
             factors = randomized_low_rank(op, fac_cfg)
-            u = normalize_columns(factors.U)
-            if rank_eff < cfg.local_rank:
-                u = np.hstack([u, np.zeros((n, cfg.local_rank - rank_eff))])
-            out.append((k, orbit, u, False))
-    return out
-
-
-def concatenate_embeddings(
-    blocks: list[tuple[int, int, np.ndarray, bool]],
-    attributes: np.ndarray | None = None,
-) -> ConcatenatedEmbeddings:
-    """Stack local blocks (already in k-major order) and optional attributes."""
-    mats = []
-    provenance = []
-    pos = 0
-    n = blocks[0][2].shape[0] if blocks else (attributes.shape[0] if attributes is not None else 0)
-    for k, orbit, u, is_zero in blocks:
-        if u.shape[0] != n:
-            raise ValueError("inconsistent node counts across blocks")
-        mats.append(u)
-        provenance.append(
-            ColumnBlock("orbit", pos, pos + u.shape[1], orbit=orbit, k=k, is_zero=is_zero)
-        )
-        pos += u.shape[1]
-    if attributes is not None:
-        if attributes.shape[0] != n:
-            raise ValueError("attribute rows must match node count")
-        mats.append(attributes)
-        provenance.append(ColumnBlock("attributes", pos, pos + attributes.shape[1]))
-        pos += attributes.shape[1]
-    if not mats:
-        raise ValueError("nothing to concatenate")
-    return ConcatenatedEmbeddings(np.hstack(mats), tuple(provenance))
+            matrix[:, columns.start : columns.start + rank_eff] = normalize_columns(factors.U)
+        blocks.append(Block(k, orbit, columns, wg.is_empty))
+    matrix.flags.writeable = False
+    return ConcatenatedEmbeddings(matrix, tuple(blocks))
 
 
 def global_embedding(
@@ -272,38 +256,47 @@ class PipelineResult:
     config: PipelineConfig
     # wall seconds per stage: count (0 when counts were given), diffuse
     # (0 without diffusion), local (the local blocks, unless they were
-    # given, and the concatenation) and global
+    # given) and global
     seconds: dict[str, float] = field(default_factory=dict)
 
 
-def _block_prefix(
-    blocks: list[tuple[int, int, np.ndarray, bool]], cfg: PipelineConfig
-) -> list[tuple[int, int, np.ndarray, bool]]:
-    """The blocks for k <= cfg.max_steps out of a k-major set built at a
-    step count of at least cfg.max_steps."""
-    expected = [(k, orbit) for k in range(1, cfg.max_steps + 1) for orbit in cfg.orbits]
-    prefix = blocks[: len(expected)]
-    if [(k, orbit) for k, orbit, _, _ in prefix] != expected:
+def _fusion_input(
+    local: ConcatenatedEmbeddings, cfg: PipelineConfig, attributes: np.ndarray | None
+) -> ConcatenatedEmbeddings:
+    """The blocks for k <= cfg.max_steps, a column prefix of a local set
+    built at a step count of at least cfg.max_steps, followed by the
+    attributes when given (copied with the prefix into a fresh matrix)."""
+    expected = _layout(cfg)
+    blocks = local.blocks[: len(expected)]
+    if [(b.k, b.orbit, b.columns) for b in blocks] != expected:
         raise ValueError(
-            f"blocks do not cover max_steps={cfg.max_steps} over orbits {cfg.orbits} in k-major order"
+            f"blocks do not cover max_steps={cfg.max_steps} over orbits {cfg.orbits}"
+            f" at local_rank={cfg.local_rank} in k-major order"
         )
-    return prefix
+    width = blocks[-1].columns.stop
+    if attributes is None:
+        return ConcatenatedEmbeddings(local.matrix[:, :width], blocks)
+    matrix = np.empty((len(attributes), width + attributes.shape[1]), order="F")
+    matrix[:, :width] = local.matrix[:, :width]
+    matrix[:, width:] = attributes
+    return ConcatenatedEmbeddings(matrix, (*blocks, Block(None, None, slice(width, matrix.shape[1]))))
 
 
 def embed_graph(
     g: Graph,
     cfg: PipelineConfig,
     counts: EdgeOrbitCounts | None = None,
-    blocks: list[tuple[int, int, np.ndarray, bool]] | None = None,
+    local: ConcatenatedEmbeddings | None = None,
 ) -> PipelineResult:
     """Run the whole pipeline: counts, diffusion, local blocks, global factors.
 
-    ``counts`` and ``blocks`` let a caller share work across runs on the same
-    graph. ``blocks`` must come from :func:`local_embeddings` on the orbit
+    ``counts`` and ``local`` let a caller share work across runs on the same
+    graph. ``local`` must come from :func:`local_embeddings` on the orbit
     weights of ``g`` and ``counts``, with ``cfg`` at a step count of at least
     ``cfg.max_steps`` (nothing else changed): block seeds depend only on
-    (seed, k, orbit), so the first ``cfg.max_steps`` steps of that set are
-    the blocks this run would build.
+    (seed, k, orbit), so the first ``cfg.max_steps`` steps of that set are a
+    column prefix holding the blocks this run would build. Without diffusion
+    the result's matrix is a view of that prefix.
     """
     seconds: dict[str, float] = {}
     clock = time.perf_counter()
@@ -323,12 +316,10 @@ def embed_graph(
         weights = orbit_weights(g, counts, cfg)
         attributes = diffuse_attributes(g, weights, node_motif_features(g, counts), cfg)
     lap("diffuse")
-    if blocks is None:
-        blocks = local_embeddings(g, weights or orbit_weights(g, counts, cfg), cfg)
-    else:
-        blocks = _block_prefix(blocks, cfg)
-    conc = concatenate_embeddings(blocks, attributes)
-    del blocks, attributes  # conc holds the only copy the global step needs
+    if local is None:
+        local = local_embeddings(g, weights or orbit_weights(g, counts, cfg), cfg)
+    conc = _fusion_input(local, cfg, attributes)
+    del local, attributes  # conc holds all that the global step reads
     lap("local")
     emb = global_embedding(conc, cfg.global_rank, ccd=cfg.ccd)
     lap("global")

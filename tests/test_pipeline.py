@@ -11,13 +11,12 @@ from motifembed.operators import dense_kstep
 from motifembed.orbits import NUM_ORBITS, count_edge_orbits, node_motif_features
 from motifembed import pipeline
 from motifembed.pipeline import (
-    ColumnBlock,
+    Block,
     ConcatenatedEmbeddings,
     DiffusionConfig,
     DiffusionVariant,
     PipelineConfig,
     _block_seed,
-    concatenate_embeddings,
     diffuse_attributes,
     embed_graph,
     global_embedding,
@@ -29,12 +28,10 @@ TRIANGLE = complete_graph(3)
 
 
 def wrap(matrix):
-    return ConcatenatedEmbeddings(
-        matrix, (ColumnBlock("orbit", 0, matrix.shape[1], orbit=1, k=1),)
-    )
+    return ConcatenatedEmbeddings(matrix, (Block(1, 1, slice(0, matrix.shape[1])),))
 
 
-def blocks_of(g, counts, cfg):
+def local_of(g, counts, cfg):
     return local_embeddings(g, orbit_weights(g, counts, cfg), cfg)
 
 
@@ -57,57 +54,51 @@ def test_block_layout_is_k_major_and_full_width():
     g = erdos_renyi(30, 0.3, seed=1)
     cfg = PipelineConfig(max_steps=2, local_rank=16)
     counts = count_edge_orbits(g)
-    blocks = blocks_of(g, counts, cfg)
-    conc = concatenate_embeddings(blocks)
-    assert conc.matrix.shape == (30, 13 * 2 * 16)
+    local = local_of(g, counts, cfg)
+    assert local.matrix.shape == (30, 13 * 2 * 16)
+    assert local.matrix.flags.f_contiguous and not local.matrix.flags.writeable
     expected_order = [(k, t) for k in (1, 2) for t in range(1, NUM_ORBITS + 1)]
-    assert [(b.k, b.orbit) for b in conc.blocks] == expected_order
-    widths = {b.stop - b.start for b in conc.blocks}
-    assert widths == {16}
+    assert [(b.k, b.orbit) for b in local] == expected_order
+    assert [b.columns for b in local] == [slice(16 * i, 16 * (i + 1)) for i in range(26)]
 
 
 def test_attributes_appended_last():
     g = erdos_renyi(20, 0.3, seed=2)
-    cfg = PipelineConfig(max_steps=2, local_rank=16)
+    cfg = PipelineConfig(max_steps=2, local_rank=16, diffusion=DiffusionConfig(DiffusionVariant.LINEAR))
     counts = count_edge_orbits(g)
-    blocks = blocks_of(g, counts, cfg)
-    attrs = np.ones((20, 52))
-    conc = concatenate_embeddings(blocks, attrs)
-    assert conc.matrix.shape[1] == 416 + 52
-    last = conc.blocks[-1]
-    assert last.tag == "attributes"
-    assert (last.start, last.stop) == (416, 468)
+    y = embed_graph(g, cfg, counts=counts).concatenated
+    assert y.matrix.shape[1] == 416 + 13 * 52
+    assert y.blocks[-1] == Block(None, None, slice(416, 416 + 13 * 52))
+    np.testing.assert_array_equal(y.matrix[:, :416], local_of(g, counts, cfg).matrix)
+    attrs = diffused(g, counts, node_motif_features(g, counts), cfg)
+    np.testing.assert_array_equal(y.matrix[:, 416:], attrs)
 
 
 def test_empty_orbits_give_flagged_zero_blocks_of_full_width():
     # a triangle has no wedges and no 4-node motifs: only orbits 1 and 3 carry weight
     counts = count_edge_orbits(TRIANGLE)
     cfg = PipelineConfig(max_steps=1, local_rank=4)
-    blocks = blocks_of(TRIANGLE, counts, cfg)
-    flags = {orbit: is_zero for _, orbit, _, is_zero in blocks}
+    local = local_of(TRIANGLE, counts, cfg)
+    flags = {b.orbit: b.is_zero for b in local}
     assert flags[1] is False and flags[3] is False
     assert all(flags[t] for t in range(1, 14) if t not in (1, 3))
-    for _, orbit, u, is_zero in blocks:
+    assert local.matrix.shape == (3, 13 * 4)
+    for b in local:
+        u = local.matrix[:, b.columns]
         assert u.shape == (3, 4)
-        if is_zero:
-            assert not u.any()
-
-
-def test_concatenate_rejects_mismatched_rows_and_empty_input():
-    blocks = [(1, 1, np.zeros((4, 2)), True), (1, 2, np.zeros((5, 2)), True)]
-    with pytest.raises(ValueError, match="node counts"):
-        concatenate_embeddings(blocks)
-    with pytest.raises(ValueError, match="nothing"):
-        concatenate_embeddings([])
+        # three nodes give at most rank 3: the fourth column stays zero
+        assert not u[:, 3].any()
+        assert u.any() != b.is_zero
 
 
 def test_block_tiling_is_validated():
     with pytest.raises(ValueError, match="tile"):
-        ConcatenatedEmbeddings(np.zeros((3, 4)), (ColumnBlock("orbit", 0, 3, 1, 1),))
+        ConcatenatedEmbeddings(np.zeros((3, 4)), (Block(1, 1, slice(0, 3)),))
+    with pytest.raises(ValueError, match="tile"):
+        ConcatenatedEmbeddings(np.zeros((3, 4)), (Block(1, 1, slice(1, 4)),))
     with pytest.raises(ValueError, match="tile"):
         ConcatenatedEmbeddings(
-            np.zeros((3, 4)),
-            (ColumnBlock("orbit", 1, 4, 1, 1),),
+            np.zeros((3, 4)), (Block(1, 1, slice(0, 2)), Block(1, 2, slice(3, 4)))
         )
 
 
@@ -245,9 +236,9 @@ def test_diffused_attribute_width_is_orbits_times_feature_width():
         diffusion=DiffusionConfig(DiffusionVariant.LINEAR),
     )
     res = embed_graph(g, cfg)
-    assert res.concatenated.blocks[-1].tag == "attributes"
-    width = res.concatenated.blocks[-1].stop - res.concatenated.blocks[-1].start
-    assert width == 13 * 52
+    last = res.concatenated.blocks[-1]
+    assert (last.k, last.orbit) == (None, None)
+    assert last.columns.stop - last.columns.start == 13 * 52
 
 
 # ------------------------------------------------------------------- e2e
@@ -267,22 +258,33 @@ def test_embed_graph_takes_the_step_prefix_of_given_blocks():
     g = erdos_renyi(30, 0.2, seed=4)
     counts = count_edge_orbits(g)
     cfg = PipelineConfig(orbits=(1, 3), max_steps=2, local_rank=3, global_rank=6, seed=9)
-    blocks = blocks_of(g, counts, replace(cfg, max_steps=3))
-    shared = embed_graph(g, cfg, counts=counts, blocks=blocks)
+    local = local_of(g, counts, replace(cfg, max_steps=3))
+    shared = embed_graph(g, cfg, counts=counts, local=local)
     fresh = embed_graph(g, cfg)
     assert shared.embedding.nodes.tobytes() == fresh.embedding.nodes.tobytes()
     assert shared.concatenated.blocks == fresh.concatenated.blocks
+    # without diffusion the prefix is a view of the shared set, not a copy
+    assert np.shares_memory(shared.concatenated.matrix, local.matrix)
+    assert shared.concatenated.matrix.shape == (30, 12)
+
+
+@pytest.mark.parametrize("diffusion", [None, DiffusionConfig(DiffusionVariant.LINEAR)])
+def test_fresh_fusion_input_is_fortran_ordered(diffusion):
+    g = erdos_renyi(25, 0.3, seed=8)
+    cfg = PipelineConfig(max_steps=2, local_rank=3, global_rank=6, diffusion=diffusion)
+    assert embed_graph(g, cfg).concatenated.matrix.flags.f_contiguous
 
 
 def test_embed_graph_rejects_blocks_that_do_not_cover_the_steps():
     g = erdos_renyi(30, 0.2, seed=4)
     counts = count_edge_orbits(g)
     cfg = PipelineConfig(orbits=(1, 3), max_steps=2, local_rank=3, global_rank=6)
-    short = blocks_of(g, counts, PipelineConfig(orbits=(1, 3), max_steps=1, local_rank=3))
-    other_orbits = blocks_of(g, counts, PipelineConfig(orbits=(3, 1), max_steps=2, local_rank=3))
-    for blocks in (short, other_orbits):
+    short = local_of(g, counts, PipelineConfig(orbits=(1, 3), max_steps=1, local_rank=3))
+    other_orbits = local_of(g, counts, PipelineConfig(orbits=(3, 1), max_steps=2, local_rank=3))
+    other_rank = local_of(g, counts, PipelineConfig(orbits=(1, 3), max_steps=2, local_rank=4))
+    for local in (short, other_orbits, other_rank):
         with pytest.raises(ValueError, match="max_steps=2"):
-            embed_graph(g, cfg, counts=counts, blocks=blocks)
+            embed_graph(g, cfg, counts=counts, local=local)
 
 
 @pytest.mark.parametrize("diffusion", [None, DiffusionConfig(DiffusionVariant.LINEAR)])
@@ -300,9 +302,9 @@ def test_embed_graph_builds_each_weight_matrix_once(monkeypatch, diffusion):
     embed_graph(g, cfg, counts=counts)
     assert built == list(range(1, NUM_ORBITS + 1))
     # given blocks and no diffusion, no stage reads a weight matrix
-    blocks = blocks_of(g, counts, cfg)
+    local = local_of(g, counts, cfg)
     built.clear()
-    embed_graph(g, replace(cfg, diffusion=None), counts=counts, blocks=blocks)
+    embed_graph(g, replace(cfg, diffusion=None), counts=counts, local=local)
     assert built == []
 
 

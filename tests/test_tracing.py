@@ -4,7 +4,7 @@ import importlib.util
 from pathlib import Path
 
 import motifembed.pipeline as pipeline
-from motifembed.generators import erdos_renyi
+from motifembed.generators import cycle_graph, erdos_renyi
 from motifembed.matrices import MotifMatrixKind
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -34,3 +34,18 @@ def test_tracer_records_the_traced_layers():
     for name in ("operators.matmat_calls", "matrices.build_calls", "pipeline.diffuse_s", "pipeline.global_s"):
         assert metrics[name] > 0, name
     assert len(tracer.embeddings) == 1
+
+
+def test_tracer_counts_the_zero_blocks_the_pipeline_records():
+    # a cycle has no triangles, no stars and no tails: most orbits give zero blocks
+    spans = load_spans()
+    cfg = pipeline.PipelineConfig(max_steps=2, local_rank=3, global_rank=8)
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        result = pipeline.embed_graph(cycle_graph(12), cfg)
+    metrics = spans.layer_metrics(tracer)
+    y = result.concatenated
+    zero = sum(not y.matrix[:, b.columns].any() for b in y)
+    assert 0 < zero < len(y.blocks)
+    assert metrics["pipeline.zero_blocks"] == zero
+    assert metrics["pipeline.local_s"] > 0
