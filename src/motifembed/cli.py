@@ -2,9 +2,9 @@
 link-prediction experiments, and the scaling benchmark.
 
 Every output begins with ``# key=value`` comment lines echoing every parsed
-setting (including the seed), so any artifact can be reproduced by
-re-running with the header's values. ``MOTIFEMBED_SEED`` in the environment
-overrides ``--seed`` everywhere.
+setting, so any artifact can be reproduced by re-running with the header's
+values. ``MOTIFEMBED_SEED`` in the environment overrides ``--seed`` wherever
+a subcommand takes one.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def config_flags(sub: argparse.ArgumentParser, path: str) -> list[str]:
 def parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse the command line. A ``--config`` file's values are spliced in
     as flags right after the subcommand, ahead of the command line's own
-    flags, which therefore win; ``MOTIFEMBED_SEED`` then overrides the seed."""
+    flags, which therefore win; ``MOTIFEMBED_SEED`` then overrides any seed."""
     parser, subcommands = build_parser()
     pre = _Parser(add_help=False)
     pre.add_argument("--config")
@@ -87,7 +87,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
         argv = argv[: at + 1] + config_flags(subcommands[argv[at]], config) + argv[at + 1 :]
     args = parser.parse_args(argv)
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    if env is not None and hasattr(args, "seed"):
         try:
             args.seed = _seed(env)
         except argparse.ArgumentTypeError as exc:
@@ -383,8 +383,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key=value file; flags override its values")
     sub.add_argument("--out", help="output path (default: stdout)")
-    sub.add_argument("--seed", type=_seed, default=PipelineConfig.seed,
-                     help=f"RNG seed (default %(default)s; env {SEED_ENV_VAR} overrides)")
 
 
 def _add_input_flags(sub: argparse.ArgumentParser) -> None:
@@ -417,6 +415,8 @@ def _add_pipeline_flags(
     sub.add_argument("--k", type=k_type, default=k_default, help=k_help + " (default %(default)s)")
     sub.add_argument("--diffusion", type=_diffusion_token, default="none",
                      help="none | linear | transition | theta:<t> (default %(default)s)")
+    sub.add_argument("--seed", type=_seed, default=PipelineConfig.seed,
+                     help=f"RNG seed (default %(default)s; env {SEED_ENV_VAR} overrides)")
 
 
 def _add_workers_flag(sub: argparse.ArgumentParser) -> None:

@@ -60,22 +60,24 @@ def make_split(g: Graph, seed: int) -> LinkPredSplit:
     total_pairs = n * (n - 1) // 2
     if total_pairs - m < n_hold:
         raise ValueError("graph too dense to sample enough negative pairs")
-    chosen: set[tuple[int, int]] = set()
-    attempts = 0
-    cap = 200 * n_hold + 10_000
-    while len(chosen) < n_hold:
-        attempts += 1
-        if attempts > cap:
+    # candidate pairs come in batches of one rng.integers stream, which draws
+    # the same numbers as one scalar call per endpoint; the negatives are the
+    # first n_hold distinct non-edges in draw order, within the budget
+    budget = 200 * n_hold + 10_000
+    drawn = 0
+    keys = np.zeros(0, dtype=np.int64)
+    while keys.size < n_hold:
+        if drawn == budget:
             raise ValueError("negative sampling exhausted its attempt budget")
-        u = int(rng.integers(0, n))
-        v = int(rng.integers(0, n))
-        if u == v:
-            continue
-        pair = (u, v) if u < v else (v, u)
-        if pair in chosen or g.has_edge(*pair):
-            continue
-        chosen.add(pair)
-    negatives = np.array(sorted(chosen), dtype=np.int64)
+        batch = min(budget - drawn, max(2 * (n_hold - keys.size), drawn))
+        u, v = rng.integers(0, n, size=(batch, 2)).T
+        drawn += batch
+        u, v = np.minimum(u, v), np.maximum(u, v)
+        fresh = (u != v) & (g.edge_ids(u, v) < 0)
+        keys = np.concatenate([keys, u[fresh] * n + v[fresh]])
+        keys = keys[np.sort(np.unique(keys, return_index=True)[1])]
+    keys = np.sort(keys[:n_hold])
+    negatives = np.stack([keys // n, keys % n], axis=1)
     return LinkPredSplit(train_graph=train, positives=positives, negatives=negatives, seed=seed)
 
 
@@ -285,7 +287,7 @@ def _selection_subsample(labels: np.ndarray, fraction: float, rng: np.random.Gen
 @dataclass(frozen=True)
 class EvalConfig:
     pipeline: PipelineConfig
-    step_grid: tuple[int, ...] | None = None  # None: use pipeline.max_steps as-is
+    step_grid: tuple[int, ...]
     n_seeds: int = 10
     base_seed: int = 0
 
@@ -329,16 +331,15 @@ def evaluate_one_seed(g: Graph, cfg: EvalConfig, seed: int) -> SeedOutcome:
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5B)))
     sub = _selection_subsample(labels, SELECTION_FRACTION, rng)
 
-    grid = cfg.step_grid if cfg.step_grid is not None else (cfg.pipeline.max_steps,)
     embed_seed = int(np.random.SeedSequence((cfg.base_seed, seed, 0xEB)).generate_state(1)[0])
     pipeline_cfg = replace(cfg.pipeline, seed=embed_seed)
     train = split.train_graph
     counts = count_edge_orbits(train)
     weights = orbit_weights(train, counts, pipeline_cfg)
-    local = local_embeddings(train, weights, replace(pipeline_cfg, max_steps=max(grid)))
+    local = local_embeddings(train, weights, replace(pipeline_cfg, max_steps=max(cfg.step_grid)))
 
     best = None  # (auc, steps, lambda, features)
-    for steps in grid:
+    for steps in cfg.step_grid:
         result = embed_graph(train, replace(pipeline_cfg, max_steps=steps), counts=counts, local=local)
         features = edge_features_mean(result.embedding.nodes, pairs)
         for reg in LAMBDA_GRID:
@@ -360,6 +361,5 @@ def run_experiment(g: Graph, cfg: EvalConfig) -> EvalReport:
         outcome = evaluate_one_seed(g, cfg, seed)
         log.info("seed %d: steps=%d lambda=%g auc=%.4f", seed, outcome.chosen_steps, outcome.chosen_lambda, outcome.auc)
         outcomes.append(outcome)
-    outcomes.sort(key=lambda o: o.seed)
     aucs = np.array([o.auc for o in outcomes])
     return EvalReport(outcomes=tuple(outcomes), mean_auc=float(aucs.mean()), std_auc=float(aucs.std()))

@@ -1,4 +1,5 @@
-"""Immutable undirected simple graphs in compressed sparse adjacency form.
+"""Immutable undirected simple graphs with one sparse adjacency, and the
+edge-list parser.
 
 Nodes carry dense zero-based ids internally; the labels seen in the input
 edge list are kept in a side table so output can use them again.
@@ -11,6 +12,7 @@ import os
 from typing import IO, Iterable, Iterator
 
 import numpy as np
+import scipy.sparse as sp
 
 
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
@@ -31,9 +33,12 @@ class EmptyGraphError(ValueError):
 class Graph:
     """Undirected simple graph: no self-loops, no duplicate edges.
 
-    Each edge is stored once with ``u < v`` (canonical, lexicographically
-    sorted) and mirrored in the adjacency structure. Neighbor lists are
-    strictly ascending. Instances are immutable after construction.
+    Each edge is stored once with ``u < v``, and the edges are distinct and
+    in ascending (u, v) order, so edge id i is the position of key u·n + v in
+    the ascending ``edge_keys``. ``adjacency`` is the one CSR of ones over
+    both directions, with strictly ascending rows, and ``slot_edge`` holds
+    the edge id of each of its stored entries. Instances are immutable after
+    construction: every array, the adjacency's own included, is read-only.
     """
 
     def __init__(
@@ -55,11 +60,15 @@ class Graph:
             raise ValueError("edge endpoint outside [0, num_nodes)")
         if np.any(edge_u >= edge_v):
             raise ValueError("edges must be canonical with u < v")
+        keys = edge_u * np.int64(num_nodes) + edge_v
+        if np.any(keys[1:] <= keys[:-1]):
+            raise ValueError("edges must be distinct and in ascending (u, v) order")
 
         self.num_nodes = int(num_nodes)
-        self.num_edges = int(edge_u.size)
+        self.num_edges = m = int(edge_u.size)
         self.edge_u = edge_u
         self.edge_v = edge_v
+        self.edge_keys = keys
 
         if labels is None:
             labels = np.arange(num_nodes, dtype=np.int64)
@@ -67,22 +76,20 @@ class Graph:
         if self.labels.shape != (num_nodes,):
             raise ValueError("labels must have one entry per node")
 
-        # CSR adjacency over both edge directions, neighbors sorted per row.
-        src = np.concatenate([edge_u, edge_v])
-        dst = np.concatenate([edge_v, edge_u])
-        eid = np.concatenate([np.arange(self.num_edges)] * 2)
-        order = np.lexsort((dst, src))
-        self._neighbors = dst[order]
-        self._slot_edge = eid[order]
-        self._offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.add.at(self._offsets, src + 1, 1)
-        np.cumsum(self._offsets, out=self._offsets)
+        # Row x lists the edges (w, x), w < x, in edge order, then the edges
+        # (x, w), w > x, in edge order: both runs ascend in w, so a stable
+        # sort by row of the directions v→u followed by u→v is the CSR.
+        order = np.argsort(np.concatenate([edge_v, edge_u]), kind="stable")
+        indices = np.concatenate([edge_u, edge_v])[order]
+        self.slot_edge = order % m
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(indices, minlength=num_nodes))])
+        self.adjacency = sp.csr_matrix((np.ones(2 * m), indices, indptr), shape=(num_nodes, num_nodes))
 
-        row_of = np.repeat(np.arange(num_nodes), np.diff(self._offsets))
-        if np.any((self._neighbors[1:] == self._neighbors[:-1]) & (row_of[1:] == row_of[:-1])):
-            raise ValueError("duplicate edge detected")
-
-        for arr in (self.edge_u, self.edge_v, self.labels, self._neighbors, self._slot_edge, self._offsets):
+        # scipy may keep the index arrays as int32 copies of its own; a
+        # matrix built on them would share them, so they are frozen too
+        adj = self.adjacency
+        for arr in (self.edge_u, self.edge_v, self.edge_keys, self.labels, self.slot_edge,
+                    adj.data, adj.indices, adj.indptr):
             arr.flags.writeable = False
 
     @classmethod
@@ -117,39 +124,25 @@ class Graph:
 
     # -- queries ----------------------------------------------------------
 
-    def degree(self, u: int) -> int:
-        return int(self._offsets[u + 1] - self._offsets[u])
-
     @property
     def degrees(self) -> np.ndarray:
-        return np.diff(self._offsets)
+        return np.diff(self.adjacency.indptr).astype(np.int64)
 
-    def neighbors(self, u: int) -> np.ndarray:
-        """Sorted neighbor ids of ``u`` (a read-only view)."""
-        return self._neighbors[self._offsets[u] : self._offsets[u + 1]]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.neighbors(u)
-        i = np.searchsorted(row, v)
-        return i < row.size and row[i] == v
-
-    def edge_id(self, u: int, v: int) -> int:
-        """Dense id of the undirected edge {u, v}; raises if absent."""
-        row = self.neighbors(u)
-        i = np.searchsorted(row, v)
-        if i >= row.size or row[i] != v:
-            raise KeyError(f"no edge ({u}, {v})")
-        return int(self._slot_edge[self._offsets[u] + i])
+    def edge_ids(self, u, v) -> np.ndarray:
+        """The edge id of each pair {u[i], v[i]} in either orientation, or -1
+        where the pair is not an edge."""
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        # an id out of range could alias another pair's key
+        if u.size and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= self.num_nodes):
+            raise ValueError("node id outside [0, num_nodes)")
+        keys = np.minimum(u, v) * self.num_nodes + np.maximum(u, v)
+        ix = np.minimum(np.searchsorted(self.edge_keys, keys), self.num_edges - 1)
+        return np.where(self.edge_keys[ix] == keys, ix, -1)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u, v in zip(self.edge_u, self.edge_v):
             yield int(u), int(v)
-
-    def adjacency_sets(self) -> list[set[int]]:
-        """Neighbor lists as Python sets, for the brute-force orbit oracle."""
-        nb = self._neighbors.tolist()
-        off = self._offsets.tolist()
-        return [set(nb[off[u] : off[u + 1]]) for u in range(self.num_nodes)]
 
     def fingerprint(self) -> str:
         """Stable content hash used to bind derived tables to this graph."""
@@ -169,9 +162,6 @@ class Graph:
             and np.array_equal(self.edge_v, other.edge_v)
             and np.array_equal(self.labels, other.labels)
         )
-
-    def __hash__(self):
-        return hash(self.fingerprint())
 
     def __repr__(self) -> str:
         return f"Graph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"

@@ -58,16 +58,15 @@ def build_motif_weight_matrix(
     if counts.graph_fingerprint != g.fingerprint():
         raise ValueError("orbit counts were computed for a different graph")
     col = counts.orbit_column(orbit)
-    keep = col >= delta
-    u = g.edge_u[keep]
-    v = g.edge_v[keep]
-    w = col[keep].astype(np.float64)
-    n = g.num_nodes
-    mat = sp.coo_matrix(
-        (np.concatenate([w, w]), (np.concatenate([u, v]), np.concatenate([v, u]))),
-        shape=(n, n),
-    ).tocsr()
-    return MotifWeightedGraph(matrix=mat, orbit=orbit, delta=delta, is_empty=not bool(keep.any()))
+    # the counts placed on the graph's own pattern, minus the entries
+    # below delta; the copy keeps the graph's frozen index arrays out of
+    # eliminate_zeros
+    adj = g.adjacency
+    w = col[g.slot_edge].astype(np.float64)
+    w[w < delta] = 0.0
+    mat = sp.csr_matrix((w, adj.indices, adj.indptr), shape=adj.shape, copy=True)
+    mat.eliminate_zeros()
+    return MotifWeightedGraph(matrix=mat, orbit=orbit, delta=delta, is_empty=mat.nnz == 0)
 
 
 def motif_degrees(wg: MotifWeightedGraph) -> np.ndarray:

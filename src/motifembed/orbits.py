@@ -155,7 +155,7 @@ def _raw_terms(g: Graph) -> tuple[np.ndarray, ...]:
     nbr = np.concatenate([g.edge_v, g.edge_u])
     order = np.argsort(src * n + rank[nbr])
     src, nbr, edge = src[order], nbr[order], order % m
-    off = np.concatenate([[0], np.cumsum(deg)])
+    off = g.adjacency.indptr.astype(np.int64)
 
     # one entry per edge, from its top (higher-ranked) end v, grouped by v:
     # the low end u, and the slots before u→v in u's row, which hold the
@@ -279,24 +279,27 @@ def brute_force_orbit_counts(g: Graph, node_cap: int = 64) -> EdgeOrbitCounts:
     """
     if g.num_nodes > node_cap:
         raise ValueError(f"oracle refuses graphs above {node_cap} nodes, got {g.num_nodes}")
-    adj = g.adjacency_sets()
+    # a dense edge-id table, -1 off the edges: the oracle's own lookup
+    table = np.full((g.num_nodes, g.num_nodes), -1, dtype=np.int64)
+    table[g.edge_u, g.edge_v] = table[g.edge_v, g.edge_u] = np.arange(g.num_edges)
+    eid = table.tolist()
     counts = np.zeros((g.num_edges, NUM_ORBITS), dtype=np.int64)
     counts[:, 0] = 1  # every edge is the 2-vertex graphlet once
 
     for a, b, c in combinations(range(g.num_nodes), 3):
-        present = [(a, b, b in adj[a]), (a, c, c in adj[a]), (b, c, c in adj[b])]
+        present = [(a, b, eid[a][b] >= 0), (a, c, eid[a][c] >= 0), (b, c, eid[b][c] >= 0)]
         ne = sum(p for _, _, p in present)
         if ne == 3:
             for x, y, _ in present:
-                counts[g.edge_id(x, y), 2] += 1
+                counts[eid[x][y], 2] += 1
         elif ne == 2:
             for x, y, p in present:
                 if p:
-                    counts[g.edge_id(x, y), 1] += 1
+                    counts[eid[x][y], 1] += 1
 
     for quad in combinations(range(g.num_nodes), 4):
         pairs = list(combinations(quad, 2))
-        present = [v in adj[u] for u, v in pairs]
+        present = [eid[u][v] >= 0 for u, v in pairs]
         ne = sum(present)
         if ne < 3:
             continue
@@ -331,7 +334,7 @@ def brute_force_orbit_counts(g: Graph, node_cap: int = 64) -> EdgeOrbitCounts:
         else:
             orbit_ix = [12] * 6  # 4-clique
         for (u, v), ix in zip(live, orbit_ix):
-            counts[g.edge_id(u, v), ix] += 1
+            counts[eid[u][v], ix] += 1
 
     return EdgeOrbitCounts(counts, g.fingerprint())
 
@@ -346,10 +349,8 @@ def node_motif_features(g: Graph, counts: EdgeOrbitCounts) -> np.ndarray:
     if counts.graph_fingerprint != g.fingerprint():
         raise ValueError("orbit counts were computed for a different graph")
     n, m = g.num_nodes, g.num_edges
-    ends = np.concatenate([g.edge_u, g.edge_v])
-    ones = np.ones(2 * m)
-    incidence = sp.csr_matrix((ones, (ends, np.tile(np.arange(m), 2))), shape=(n, m))
-    adj = sp.csr_matrix((ones, (ends, np.concatenate([g.edge_v, g.edge_u]))), shape=(n, n))
+    adj = g.adjacency
+    incidence = sp.csr_matrix((np.ones(2 * m), g.slot_edge, adj.indptr), shape=(n, m))
     # every summand is an integer count, so these float sums are exact
     base = incidence @ counts.counts.astype(np.float64)
     nbr_sum = adj @ base

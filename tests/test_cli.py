@@ -215,8 +215,8 @@ class TestEmbed:
     def test_header_values_reproduce_output(self, ring_graph, tmp_path):
         """The reproducibility invariant: re-run with the header's values."""
         runs = [
-            ["count-orbits", "--seed", "9"],
-            ["motif-matrix", "--orbit", "2", "--kind", "lnorm", "--seed", "9"],
+            ["count-orbits"],
+            ["motif-matrix", "--orbit", "2", "--kind", "lnorm"],
             ["embed", "--dl", "2", "--d", "8", "--k", "1", "--diffusion", "linear", "--seed", "9"],
             ["linkpred", "--kind", "p", "--dl", "2", "--d", "8", "--k", "1", "--seeds", "1", "--seed", "9"],
         ]
@@ -315,6 +315,14 @@ class TestConfigPrecedence:
         )
         assert "# seed=123" in out.read_text()
 
+    @pytest.mark.parametrize("argv", [["count-orbits"], ["motif-matrix", "--orbit", "2"]])
+    def test_no_seed_where_no_random_numbers_are_drawn(self, ring_graph, tmp_path, argv):
+        out = tmp_path / "o.out"
+        code, _ = run_cli([*argv, "--input", str(ring_graph), "--out", str(out)],
+                          env_extra={"MOTIFEMBED_SEED": "123"})
+        assert code == 0
+        assert "seed=" not in out.read_text()
+
     @pytest.mark.parametrize("argv, env, name", [(["--seed", "-1"], None, "argument --seed"),
                                                  ([], {"MOTIFEMBED_SEED": "-3"}, "MOTIFEMBED_SEED")])
     def test_negative_seed_fails_before_reading_input(self, ring_graph, capsys, monkeypatch, argv, env, name):
@@ -342,8 +350,8 @@ class TestConfigPrecedence:
     @pytest.mark.parametrize(
         "subcommand, settings",
         [
-            ("count-orbits", {"skip-header": "true", "seed": "5", "workers": "1"}),
-            ("motif-matrix", {"orbit": "2", "kind": "lnorm", "delta": "1", "seed": "2"}),
+            ("count-orbits", {"skip-header": "true", "workers": "1"}),
+            ("motif-matrix", {"orbit": "2", "kind": "lnorm", "delta": "1"}),
             ("embed", {"kind": "lnorm", "dl": "2", "d": "8", "k": "1", "diffusion": "linear",
                        "seed": "3", "skip-header": "true"}),
             ("linkpred", {"kind": "p", "dl": "2", "d": "8", "k": "1", "seeds": "1", "seed": "4"}),
@@ -541,7 +549,7 @@ class TestEntryPoint:
             ["count-orbits"],
             ["bench", "--sizes", "1,x"],
             ["frobnicate"],
-            ["count-orbits", "--input", "{input}", "--seed", "-1"],
+            ["count-orbits", "--input", "{input}", "--seed", "1"],  # draws no random numbers
             ["bench", "--sizes", "20", "--avg-degree", "nan"],
             ["bench", "--sizes", "20", "--avg-degree", "inf"],
             ["bench", "--sizes", "20", "--avg-degree", "-2"],

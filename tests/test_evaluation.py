@@ -26,7 +26,14 @@ from motifembed.evaluation import (
     _selection_subsample,
     _stratified_folds,
 )
-from motifembed.generators import complete_graph, cycle_graph, erdos_renyi
+from motifembed.generators import (
+    complete_graph,
+    cycle_graph,
+    erdos_renyi,
+    erdos_renyi_average_degree,
+    two_block_sbm,
+)
+from motifembed.graph import Graph
 from motifembed.pipeline import DiffusionConfig, DiffusionVariant, PipelineConfig, embed_graph
 
 TINY_PIPELINE = PipelineConfig(orbits=(1, 2, 3), max_steps=1, local_rank=4, global_rank=12)
@@ -48,12 +55,12 @@ def test_split_partition_and_nonadjacency_invariants():
     g = erdos_renyi(40, 0.15, seed=3)
     split = make_split(g, 7)
     train = split.train_graph
-    for u, v in split.positives:
-        assert g.has_edge(int(u), int(v))
-        assert not train.has_edge(int(u), int(v))
-    for u, v in split.negatives:
-        assert not g.has_edge(int(u), int(v))
-        assert int(u) != int(v)
+    pos_u, pos_v = split.positives.T
+    assert (g.edge_ids(pos_u, pos_v) >= 0).all()
+    assert (train.edge_ids(pos_u, pos_v) == -1).all()
+    neg_u, neg_v = split.negatives.T
+    assert (g.edge_ids(neg_u, neg_v) == -1).all()
+    assert (neg_u != neg_v).all()
     held = {tuple(p) for p in map(tuple, split.positives)}
     kept = {tuple(e) for e in train.edges()}
     assert held.isdisjoint(kept)
@@ -71,6 +78,64 @@ def test_split_is_deterministic_per_seed():
     assert np.array_equal(a.negatives, b.negatives)
     assert a.train_graph == b.train_graph
     assert not np.array_equal(a.positives, c.positives)
+
+
+def _split_loop(g, seed):
+    # reference: the scalar rejection loop, one rng.integers call per
+    # endpoint and a set of pairs; make_split draws the same stream in
+    # batches, so the positives, negatives and train edges must be equal
+    m, n = g.num_edges, g.num_nodes
+    n_hold = m // 2
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE0)))
+    order = rng.permutation(m)
+    held, kept = np.sort(order[:n_hold]), np.sort(order[n_hold:])
+    edges = set(g.edges())
+    chosen = set()
+    attempts = 0
+    while len(chosen) < n_hold:
+        attempts += 1
+        assert attempts <= 200 * n_hold + 10_000
+        u = int(rng.integers(0, n))
+        v = int(rng.integers(0, n))
+        if u == v:
+            continue
+        pair = (u, v) if u < v else (v, u)
+        if pair in chosen or pair in edges:
+            continue
+        chosen.add(pair)
+    positives = np.stack([g.edge_u[held], g.edge_v[held]], axis=1)
+    train = np.stack([g.edge_u[kept], g.edge_v[kept]], axis=1)
+    return positives, np.array(sorted(chosen), dtype=np.int64), train
+
+
+def _near_complete_graph(n, seed):
+    # as dense as make_split allows: the non-edges barely cover the
+    # held-out half, so most draws are rejected as edges or repeats
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    m = 2 * len(pairs) // 3
+    while len(pairs) - m < m // 2:
+        m -= 1
+    pick = np.random.default_rng(seed).permutation(len(pairs))[:m]
+    return Graph.from_edges(n, [pairs[i] for i in pick])
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        pytest.param(lambda: two_block_sbm(200, 0.15, 0.01, seed=1)[0], id="sbm"),
+        pytest.param(lambda: erdos_renyi_average_degree(200, 10.0, seed=2), id="control"),
+        pytest.param(lambda: _near_complete_graph(30, seed=4), id="near-complete"),
+    ],
+)
+def test_split_equals_the_scalar_loop_exactly(graph):
+    g = graph()
+    for seed in range(5):
+        split = make_split(g, seed)
+        positives, negatives, train = _split_loop(g, seed)
+        np.testing.assert_array_equal(split.positives, positives)
+        np.testing.assert_array_equal(split.negatives, negatives)
+        np.testing.assert_array_equal(split.train_graph.edge_u, train[:, 0])
+        np.testing.assert_array_equal(split.train_graph.edge_v, train[:, 1])
 
 
 def test_split_rejects_tiny_and_saturated_graphs():

@@ -23,19 +23,19 @@ def test_self_loops_dropped_but_node_kept():
     g = load_edge_list(io.StringIO(text))
     assert g.num_nodes == 2
     assert g.num_edges == 1
-    assert g.degree(0) == 1
+    assert g.degrees.tolist() == [1, 1]
 
     lonely = load_edge_list(io.StringIO("5 5\n1 2\n"))
     assert lonely.num_nodes == 3
     assert lonely.num_edges == 1
-    assert lonely.degree(2) == 0  # label 5 retained as isolated node
+    assert lonely.degrees[2] == 0  # label 5 retained as isolated node
 
 
 def test_duplicates_and_reversed_duplicates_collapse():
     text = "0 1\n1 0\n0 1\n1 2\n"
     g = load_edge_list(io.StringIO(text))
     assert g.num_edges == 2
-    assert g.has_edge(0, 1) and g.has_edge(1, 0)
+    assert g.edge_ids([0, 1], [1, 0]).tolist() == [0, 0]
 
 
 def test_comments_blank_lines_and_weight_tokens():
@@ -79,7 +79,7 @@ def test_label_compaction_keeps_order():
     g = load_edge_list(io.StringIO("10 30\n30 20\n"))
     assert g.labels.tolist() == [10, 20, 30]
     # compacted ids follow sorted label order: 10->0, 20->1, 30->2
-    assert g.has_edge(0, 2) and g.has_edge(1, 2) and not g.has_edge(0, 1)
+    assert g.edge_ids([0, 1, 0], [2, 2, 1]).tolist() == [0, 1, -1]
 
 
 def complete_graph(n):
@@ -96,32 +96,58 @@ def path_graph(n):
 
 def test_degrees():
     k4 = complete_graph(4)
-    assert [k4.degree(u) for u in range(4)] == [3, 3, 3, 3]
-    s5 = star_graph(5)
-    assert s5.degree(0) == 5
-    assert [s5.degree(u) for u in range(1, 6)] == [1] * 5
+    assert k4.degrees.tolist() == [3, 3, 3, 3]
+    assert star_graph(5).degrees.tolist() == [5, 1, 1, 1, 1, 1]
     p4 = path_graph(4)
-    assert [p4.degree(u) for u in range(4)] == [1, 2, 2, 1]
     assert p4.degrees.tolist() == [1, 2, 2, 1]
+    assert p4.degrees.dtype == np.int64
 
 
 def test_edge_ids_cover_range_and_lookup_agrees():
     g = complete_graph(5)
-    ids = {g.edge_id(u, v) for u, v in g.edges()}
-    assert ids == set(range(g.num_edges))
-    for u, v in g.edges():
-        assert g.edge_id(v, u) == g.edge_id(u, v)
-    with pytest.raises(KeyError):
-        path_graph(3).edge_id(0, 2)
+    assert g.edge_ids(g.edge_u, g.edge_v).tolist() == list(range(g.num_edges))
+    assert g.edge_ids(g.edge_v, g.edge_u).tolist() == list(range(g.num_edges))
+    assert path_graph(3).edge_ids(0, 2) == -1
+
+
+def test_edge_ids_on_mixed_present_reversed_and_absent_pairs():
+    g = path_graph(5)  # edges 0-1, 1-2, 2-3, 3-4
+    u = [0, 2, 4, 0, 3, 2, 0, 4]
+    v = [1, 1, 3, 4, 1, 2, 0, 0]
+    assert g.edge_ids(u, v).tolist() == [0, 1, 3, -1, -1, -1, -1, -1]
+    assert g.edge_ids(np.array([[1, 3]]), np.array([[2, 2]])).tolist() == [[1, 2]]
+    assert g.edge_ids([], []).tolist() == []
+    for u, v in ((0, 7), (-1, 6)):  # keys 7 and 1, those of edges 1-2 and 0-1
+        with pytest.raises(ValueError, match="outside"):
+            g.edge_ids([u], [v])
 
 
 def test_neighbors_sorted_and_readonly():
-    g = Graph.from_edges(4, [(2, 0), (3, 0), (1, 0)])
-    assert g.neighbors(0).tolist() == [1, 2, 3]
-    with pytest.raises(ValueError):
-        g.neighbors(0)[0] = 9
-    with pytest.raises(ValueError):
-        g.edge_u[0] = 9
+    g = Graph.from_edges(4, [(2, 0), (3, 0), (1, 0), (3, 1)])
+    adj = g.adjacency
+    assert adj.indices[adj.indptr[0] : adj.indptr[1]].tolist() == [1, 2, 3]
+    assert adj.indices[adj.indptr[3] : adj.indptr[4]].tolist() == [0, 1]
+    assert (adj != adj.T).nnz == 0 and adj.data.tolist() == [1.0] * 8
+    # each stored entry's edge id leads back to its own endpoints
+    rows = np.repeat(np.arange(4), np.diff(adj.indptr))
+    assert g.edge_ids(rows, adj.indices).tolist() == g.slot_edge.tolist()
+    for arr in (adj.data, adj.indices, adj.indptr, g.slot_edge, g.edge_keys, g.edge_u, g.labels):
+        with pytest.raises(ValueError):
+            arr[0] = 9
+
+
+@pytest.mark.parametrize(
+    "u, v, message",
+    [
+        ([0, 0, 1], [1, 1, 2], "distinct"),  # a duplicate edge
+        ([0, 1, 0], [1, 2, 2], "ascending"),  # canonical, out of order
+        ([0, 2], [1, 1], "u < v"),  # a reversed edge
+        ([0, 1], [1, 1], "u < v"),  # a self-loop
+    ],
+)
+def test_constructor_enforces_the_canonical_edge_order(u, v, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(3, np.array(u), np.array(v))
 
 
 def test_fingerprint_distinguishes_graphs():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -158,3 +159,47 @@ def test_kind_form_leaves_out_absent_terms():
     np.testing.assert_array_equal(c, [1.0, 0.0, 1.0])
     np.testing.assert_array_equal(a, [0.5, 0.0, 0.25])
     assert b is None
+
+
+def _coo_build(g, counts, orbit, delta):
+    # reference: the weight matrix assembled from the kept edges in COO
+    # form; placing the counts on the graph's adjacency must give the same
+    # canonical CSR arrays
+    col = counts.orbit_column(orbit)
+    keep = col >= delta
+    u, v, w = g.edge_u[keep], g.edge_v[keep], col[keep].astype(np.float64)
+    return sp.coo_matrix(
+        (np.concatenate([w, w]), (np.concatenate([u, v]), np.concatenate([v, u]))),
+        shape=(g.num_nodes, g.num_nodes),
+    ).tocsr()
+
+
+def test_weight_matrices_equal_the_coo_build_and_leave_the_graph_untouched():
+    graphs = [erdos_renyi(40, 0.2, seed=3), star_graph(6), complete_graph(5),
+              Graph.from_edges(6, [(0, 1), (1, 2), (4, 5)])]  # node 3 isolated
+    for g in graphs:
+        counts = count_edge_orbits(g)
+        adj = g.adjacency
+        before = [arr.tobytes() for arr in (adj.data, adj.indices, adj.indptr, g.slot_edge)]
+        for delta in (1, 2):
+            for orbit in range(1, 14):
+                wg = build_motif_weight_matrix(g, counts, orbit, delta)
+                ref = _coo_build(g, counts, orbit, delta)
+                np.testing.assert_array_equal(wg.matrix.indptr, ref.indptr)
+                np.testing.assert_array_equal(wg.matrix.indices, ref.indices)
+                np.testing.assert_array_equal(wg.matrix.data, ref.data)
+                assert wg.is_empty == (ref.nnz == 0)
+        after = [arr.tobytes() for arr in (adj.data, adj.indices, adj.indptr, g.slot_edge)]
+        assert after == before
+
+
+def test_a_matrix_sharing_the_adjacency_index_arrays_cannot_rewrite_them():
+    g = erdos_renyi(30, 0.2, seed=1)
+    adj = g.adjacency
+    data = np.ones(adj.nnz)
+    data[::2] = 0.0
+    shared = sp.csr_matrix((data, adj.indices, adj.indptr), shape=adj.shape)
+    with pytest.raises(ValueError):
+        shared.eliminate_zeros()
+    assert adj.nnz == 2 * g.num_edges
+    np.testing.assert_array_equal(np.diff(adj.indptr), g.degrees)

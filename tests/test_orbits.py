@@ -24,7 +24,9 @@ TRIANGLE = complete_graph(3)
 
 
 def row(g, u, v, counts):
-    return counts.counts[g.edge_id(u, v)].tolist()
+    (e,) = g.edge_ids([u], [v])
+    assert e >= 0
+    return counts.counts[e].tolist()
 
 
 def expected(**orbits):
@@ -280,10 +282,11 @@ def hub_graphs(draw):
 @given(small_graphs())
 def test_wedge_identity_property(g):
     c = count_edge_orbits(g)
+    deg = g.degrees
     for e, (u, v) in enumerate(g.edges()):
         o2 = c.counts[e, 1]
         o3 = c.counts[e, 2]
-        assert o2 == g.degree(u) + g.degree(v) - 2 - 2 * o3
+        assert o2 == deg[u] + deg[v] - 2 - 2 * o3
 
 
 @settings(max_examples=40, deadline=None)
@@ -296,10 +299,10 @@ def test_automorphism_invariance_property(g, pyrng):
     )
     c1 = count_edge_orbits(g)
     c2 = count_edge_orbits(relabeled)
-    for u, v in g.edges():
-        a = c1.counts[g.edge_id(u, v)]
-        b = c2.counts[relabeled.edge_id(perm[u], perm[v])]
-        np.testing.assert_array_equal(a, b)
+    perm = np.array(perm)
+    moved = relabeled.edge_ids(perm[g.edge_u], perm[g.edge_v])
+    assert (moved >= 0).all()
+    np.testing.assert_array_equal(c1.counts, c2.counts[moved])
 
 
 @settings(max_examples=40, deadline=None)
