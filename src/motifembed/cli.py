@@ -270,7 +270,19 @@ def _write_vector_tsv(out, labels, matrix) -> None:
         out.write(row_format % (label, *row.tolist()))
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file: by device and inode when both
+    exist (hard links too), else by their resolved paths."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def cmd_embed(args: argparse.Namespace) -> int:
+    # two handles on one file would each write from their own offset
+    if args.out is not None and args.y_out is not None and _same_file(args.out, args.y_out):
+        raise CliError(f"--y-out names the same file as --out: {args.y_out}")
     g = load_input_graph(args)
     cfg = pipeline_from_args(args, args.k)
     y_target = nullcontext() if args.y_out is None else open_out(args.y_out)

@@ -256,19 +256,21 @@ def _stratified_folds(labels: np.ndarray, folds: int, rng: np.random.Generator):
 def cross_val_auc(
     features: np.ndarray,
     labels: np.ndarray,
-    reg: float,
+    regs: tuple[float, ...],
     seed: int = 0,
-) -> float:
-    """Mean held-out-fold AUC of the regularized model over ``FOLDS`` folds."""
+) -> list[float]:
+    """Mean held-out-fold AUC of the model at each of ``regs``, over one
+    partition into ``FOLDS`` folds drawn from ``seed``."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xCF)))
     parts = _stratified_folds(labels, FOLDS, rng)
-    scores = []
-    for held in parts:
+    scores = np.empty((len(regs), len(parts)))
+    for j, held in enumerate(parts):
         mask = np.ones(labels.size, dtype=bool)
         mask[held] = False
-        model = fit_logreg(features[mask], labels[mask], reg)
-        scores.append(auc(model.decision_scores(features[held]), labels[held]))
-    return float(np.mean(scores))
+        train_x, train_y, held_x, held_y = features[mask], labels[mask], features[held], labels[held]
+        for i, reg in enumerate(regs):
+            scores[i, j] = auc(fit_logreg(train_x, train_y, reg).decision_scores(held_x), held_y)
+    return [float(np.mean(row)) for row in scores]
 
 
 def _selection_subsample(labels: np.ndarray, fraction: float, rng: np.random.Generator) -> np.ndarray:
@@ -342,14 +344,14 @@ def evaluate_one_seed(g: Graph, cfg: EvalConfig, seed: int) -> SeedOutcome:
     for steps in cfg.step_grid:
         result = embed_graph(train, replace(pipeline_cfg, max_steps=steps), counts=counts, local=local)
         features = edge_features_mean(result.embedding.nodes, pairs)
-        for reg in LAMBDA_GRID:
-            score = cross_val_auc(features[sub], labels[sub], reg, seed=seed)
+        scores = cross_val_auc(features[sub], labels[sub], LAMBDA_GRID, seed=seed)
+        for reg, score in zip(LAMBDA_GRID, scores):
             # strict > keeps the smallest steps and the first lambda on ties
             if best is None or score > best[0]:
                 best = (score, steps, reg, features)
 
     _, chosen_steps, chosen_lambda, features = best
-    final_auc = cross_val_auc(features, labels, chosen_lambda, seed=seed)
+    (final_auc,) = cross_val_auc(features, labels, (chosen_lambda,), seed=seed)
     return SeedOutcome(seed=seed, chosen_steps=chosen_steps, chosen_lambda=chosen_lambda, auc=final_auc)
 
 

@@ -116,13 +116,19 @@ def _orthonormalize(a: np.ndarray, passes: int) -> tuple[np.ndarray, np.ndarray]
     return q, r
 
 
-def _fix_signs(u: np.ndarray, v: np.ndarray) -> None:
-    """Flip components in place so the largest-|entry| of each row of v is
-    positive; all-zero components stay as they are."""
+def _at_rank(u: np.ndarray, v: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """u and v at exactly ``rank`` components: each flipped so that the
+    largest-|entry| of its row of v is positive, then zero components
+    appended past those the input supports."""
     pivot = v[np.arange(v.shape[0]), np.argmax(np.abs(v), axis=1)]
     sign = np.where(pivot < 0, -1.0, 1.0)
     u *= sign
     v *= sign[:, None]
+    short = rank - len(v)
+    if short > 0:
+        u = np.hstack([u, np.zeros((len(u), short))])
+        v = np.vstack([v, np.zeros((short, v.shape[1]))])
+    return u, v
 
 
 def randomized_low_rank(operator, cfg: FactorizeConfig) -> LowRankFactors:
@@ -137,15 +143,13 @@ def randomized_low_rank(operator, cfg: FactorizeConfig) -> LowRankFactors:
     ill-conditioned for Cholesky. With b = Q_b R_b, the SVD of the small
     draw×draw matrix R_bᵀ gives the factors (Halko, Martinsson, Tropp
     2011, §5.1). Each component's sign makes the largest-|entry| of its row
-    of V positive. Requires rank + oversample <= min(shape).
+    of V positive. The draw is capped at min(shape), the most directions a
+    range finder can return; components past it or below the rank
+    tolerance are zero, so U and V always have ``cfg.rank`` of them.
     """
     op = aslinearoperator(operator)
     n_rows, n_cols = op.shape
-    draw = cfg.rank + cfg.oversample
-    if draw > min(n_rows, n_cols):
-        raise ValueError(
-            f"rank + oversample = {draw} exceeds min(shape) = {min(n_rows, n_cols)}"
-        )
+    draw = min(cfg.rank + cfg.oversample, n_rows, n_cols)
 
     rng = np.random.default_rng(cfg.seed)
     test = rng.standard_normal((n_cols, draw))
@@ -165,7 +169,7 @@ def randomized_low_rank(operator, cfg: FactorizeConfig) -> LowRankFactors:
     achieved = int(np.sum(sigma[: cfg.rank] > tol))
     u[:, achieved:] = 0.0
     v[achieved:, :] = 0.0
-    _fix_signs(u, v)
+    u, v = _at_rank(u, v, cfg.rank)
     return LowRankFactors(U=u, V=v, achieved_rank=achieved)
 
 
@@ -215,10 +219,7 @@ def exact_factorize(matrix, cfg: FactorizeConfig) -> LowRankFactors:
         u, v = dense @ (vec * shrink), root[:, None] * vec.T
     else:
         u, v = vec * root, shrink[:, None] * (vec.T @ dense)
-    _fix_signs(u, v)
-    if r < cfg.rank:
-        u = np.hstack([u, np.zeros((n_rows, cfg.rank - r))])
-        v = np.vstack([v, np.zeros((cfg.rank - r, n_cols))])
+    u, v = _at_rank(u, v, cfg.rank)
 
     tail = sq_norm - float(lam.sum()) if r < size else 0.0
     fit = max(tail, 0.0) + float(np.sum((s - t) ** 2))

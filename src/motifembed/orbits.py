@@ -246,8 +246,9 @@ def count_edge_orbits(g: Graph) -> EdgeOrbitCounts:
 
     # every per-edge quantity lives in a column of the final table: the raw
     # Q, S and D land in the O7, O10 and O11 columns, and the relations
-    # below turn them into those orbits in place
-    table = np.empty((g.num_edges, NUM_ORBITS), dtype=np.int64)
+    # below turn them into those orbits in place; column order keeps each
+    # column contiguous for them
+    table = np.empty((g.num_edges, NUM_ORBITS), dtype=np.int64, order="F")
     o1, o2, tri, o4, o5, o6, o7, o8, o9, o10, o11, o12, k = table.T
     tri[:], o7[:], o10[:], o11[:], k[:] = _raw_terms(g)
 

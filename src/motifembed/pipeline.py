@@ -158,8 +158,6 @@ def local_embeddings(
     block zero, so the layout never varies.
     """
     n = g.num_nodes
-    rank_eff = min(cfg.local_rank, n)
-    oversample_eff = min(OVERSAMPLE, n - rank_eff)
     layout = _layout(cfg)
     matrix = np.zeros((n, len(layout) * cfg.local_rank), order="F")
     blocks = []
@@ -170,13 +168,12 @@ def local_embeddings(
         else:
             op = KStepOperator(wg, cfg.kind, k)
             fac_cfg = FactorizeConfig(
-                rank=rank_eff,
-                oversample=oversample_eff,
+                rank=cfg.local_rank,
+                oversample=OVERSAMPLE,
                 power_iters=POWER_ITERS,
                 seed=_block_seed(cfg.seed, k, orbit),
             )
-            factors = randomized_low_rank(op, fac_cfg)
-            matrix[:, columns.start : columns.start + rank_eff] = normalize_columns(factors.U)
+            matrix[:, columns] = normalize_columns(randomized_low_rank(op, fac_cfg).U)
         blocks.append(Block(k, orbit, columns, wg.is_empty))
     matrix.flags.writeable = False
     return ConcatenatedEmbeddings(matrix, tuple(blocks))
@@ -190,16 +187,11 @@ def global_embedding(
     """Factorize the concatenated matrix at the global rank.
 
     The factors are the exact minimizer of the regularized fusion objective
-    (regularizer ``ccd.reg``). The rank is clamped to the column count when
-    the concatenation is narrower than requested (tiny graphs).
+    (regularizer ``ccd.reg``), with ``rank`` components; those past what the
+    matrix supports are zero (see :func:`exact_factorize`).
     """
-    y = conc.matrix
-    cols = y.shape[1]
-    if rank > cols:
-        log.warning("global rank %d clamped to %d columns", rank, cols)
-        rank = cols
     cfg = FactorizeConfig(rank=rank, ccd=ccd if ccd is not None else CcdOptions())
-    factors = exact_factorize(y, cfg)
+    factors = exact_factorize(conc.matrix, cfg)
     return GlobalEmbedding(
         nodes=factors.U,
         basis=factors.V,

@@ -9,6 +9,7 @@ import pytest
 
 from motifembed import cli, pipeline
 from motifembed.cli import _write_vector_tsv, bench_scaling, main, read_config_file
+from motifembed.generators import erdos_renyi
 
 
 @pytest.fixture
@@ -211,6 +212,46 @@ class TestEmbed:
         assert len(y_body) == 30
         # 13 orbits x 1 step x rank 2 columns
         assert len(y_body[0].split("\t")) == 1 + 26
+
+    def test_writes_d_values_when_the_blocks_are_narrower(self, tmp_path):
+        # 60 nodes at --dl 4: 26 blocks give 104 columns of rank at most 60,
+        # so the fusion pads its 128 columns with zeros from column 60 on
+        g = erdos_renyi(60, 0.15, seed=4)
+        path = tmp_path / "gnp.edges"
+        path.write_text("".join(f"{u} {v}\n" for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist())))
+        out = tmp_path / "z.tsv"
+        assert run_cli(["embed", "--input", str(path), "--dl", "4", "--out", str(out)])[0] == 0
+        assert "# d=128" in out.read_text().splitlines()
+        rows = np.array([ln.split("\t") for ln in read_body(out)], dtype=float)
+        assert rows.shape == (60, 1 + 128)
+        assert rows[:, 1:61].any(axis=0).all() and not rows[:, 61:].any()
+
+    @pytest.mark.parametrize(
+        "y_name, exists",
+        [("z.tsv", False), ("./sub/../z.tsv", False), ("symlink.tsv", False),
+         ("z.tsv", True), ("symlink.tsv", True), ("hardlink.tsv", True)],
+    )
+    def test_y_out_naming_the_out_file_is_a_one_line_error(
+        self, ring_graph, tmp_path, capsys, monkeypatch, y_name, exists
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        out = tmp_path / "z.tsv"
+        (tmp_path / "symlink.tsv").symlink_to(out)
+        if exists:
+            out.write_text("kept\n")
+            (tmp_path / "hardlink.tsv").hardlink_to(out)
+        read = []
+        monkeypatch.setattr(cli, "load_input_graph", lambda args: read.append(args))
+        code, _ = run_cli(["embed", "--input", str(ring_graph), "--out", "z.tsv", "--y-out", y_name],
+                          capsys=capsys)
+        assert code == 1 and read == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--y-out" in err
+        if exists:
+            assert out.read_text() == "kept\n"
+        else:
+            assert not out.exists()
 
     def test_header_values_reproduce_output(self, ring_graph, tmp_path):
         """The reproducibility invariant: re-run with the header's values."""

@@ -10,6 +10,7 @@ from scipy.special import expit
 
 from motifembed import evaluation, pipeline
 from motifembed.evaluation import (
+    FOLDS,
     LAMBDA_GRID,
     SELECTION_FRACTION,
     EvalConfig,
@@ -371,13 +372,28 @@ def test_permuted_labels_give_null_cv_auc():
     x = rng.normal(size=(400, 6))
     y = np.concatenate([np.ones(200), np.zeros(200)])
     rng.shuffle(y)
-    score = cross_val_auc(x, y, 1e-2, seed=0)
+    (score,) = cross_val_auc(x, y, (1e-2,), seed=0)
     assert 0.4 <= score <= 0.6
 
 
 def test_cross_val_auc_deterministic():
     x, y = separable_toy(n=80, seed=2)
-    assert cross_val_auc(x, y, 1e-2, seed=4) == cross_val_auc(x, y, 1e-2, seed=4)
+    assert cross_val_auc(x, y, (1e-2,), seed=4) == cross_val_auc(x, y, (1e-2,), seed=4)
+
+
+def test_cross_val_auc_over_a_grid_equals_one_partition_per_lambda():
+    x, y = logistic_draw(n=300)
+    expected = []
+    for reg in LAMBDA_GRID:
+        # the partition drawn afresh for every lambda, from the same seed
+        parts = _stratified_folds(y, FOLDS, np.random.default_rng(np.random.SeedSequence((5, 0xCF))))
+        scores = []
+        for held in parts:
+            train = np.setdiff1d(np.arange(y.size), held)
+            model = fit_logreg(x[train], y[train], reg)
+            scores.append(auc(model.decision_scores(x[held]), y[held]))
+        expected.append(float(np.mean(scores)))
+    assert cross_val_auc(x, y, LAMBDA_GRID, seed=5) == expected
 
 
 def test_stratified_folds_partition_and_cover_both_classes():
@@ -431,11 +447,11 @@ def _protocol_from_scratch(g, cfg, seed):
         step_cfg = replace(cfg.pipeline, max_steps=steps, seed=embed_seed)
         features = edge_features_mean(embed_graph(split.train_graph, step_cfg).embedding.nodes, pairs)
         for reg in LAMBDA_GRID:
-            score = cross_val_auc(features[sub], labels[sub], reg, seed=seed)
+            (score,) = cross_val_auc(features[sub], labels[sub], (reg,), seed=seed)
             if best is None or score > best[0]:
                 best = (score, steps, reg, features)
     _, steps, reg, features = best
-    return SeedOutcome(seed, steps, reg, cross_val_auc(features, labels, reg, seed=seed))
+    return SeedOutcome(seed, steps, reg, cross_val_auc(features, labels, (reg,), seed=seed)[0])
 
 
 @pytest.mark.parametrize("diffusion", [None, DiffusionConfig(DiffusionVariant.LINEAR)])

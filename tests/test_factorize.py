@@ -91,9 +91,18 @@ def test_rsvd_determinism():
     assert np.array_equal(a.U, b.U) and np.array_equal(a.V, b.V)
 
 
-def test_rsvd_precondition():
-    with pytest.raises(ValueError, match="oversample"):
-        randomized_low_rank(np.eye(10), FactorizeConfig(rank=8, oversample=10))
+def test_rsvd_oversized_request_returns_rank_components():
+    # a 10x7 matrix supports 7 components; the draw is capped there
+    a = np.random.default_rng(8).standard_normal((10, 7))
+    res = randomized_low_rank(a, FactorizeConfig(rank=12, oversample=10))
+    assert res.U.shape == (10, 12) and res.V.shape == (12, 7)
+    assert res.achieved_rank == 7
+    assert not res.U[:, 7:].any() and not res.V[7:].any()
+    assert np.linalg.norm(res.U[:, :7], axis=0).min() > 0
+    assert relative_residual(a, res) <= 1e-12
+    # rank + oversample past min(shape) at a rank the input supports: all 8 come back
+    eye = randomized_low_rank(np.eye(10), FactorizeConfig(rank=8, oversample=10))
+    assert eye.U.shape == (10, 8) and eye.achieved_rank == 8
 
 
 @pytest.fixture

@@ -3,11 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from motifembed.factorize import CcdOptions, normalize_columns
+from motifembed.factorize import CcdOptions, FactorizeConfig, normalize_columns, randomized_low_rank
 from motifembed.generators import complete_graph, erdos_renyi
 from motifembed.graph import Graph
 from motifembed.matrices import MotifMatrixKind, build_motif_weight_matrix
-from motifembed.operators import dense_kstep
+from motifembed.operators import KStepOperator, dense_kstep
 from motifembed.orbits import NUM_ORBITS, count_edge_orbits, node_motif_features
 from motifembed import pipeline
 from motifembed.pipeline import (
@@ -91,6 +91,24 @@ def test_empty_orbits_give_flagged_zero_blocks_of_full_width():
         assert u.any() != b.is_zero
 
 
+@pytest.mark.parametrize("n, local_rank", [(9, 16), (12, 4), (20, 16), (20, 40)])
+def test_small_graph_blocks_equal_hand_clamped_factorizations(n, local_rank):
+    # n < local_rank + OVERSAMPLE: the factorization caps its own draw at n,
+    # which gives the blocks of rank and oversample clamped to n by hand
+    g = erdos_renyi(n, 0.4, seed=n)
+    cfg = PipelineConfig(max_steps=2, local_rank=local_rank, seed=7)
+    weights = orbit_weights(g, count_edge_orbits(g), cfg)
+    rank = min(local_rank, n)
+    fac = dict(rank=rank, oversample=min(pipeline.OVERSAMPLE, n - rank), power_iters=pipeline.POWER_ITERS)
+    expected = np.zeros((n, 26 * local_rank))
+    for i, (k, orbit) in enumerate((k, t) for k in (1, 2) for t in range(1, NUM_ORBITS + 1)):
+        if not weights[orbit].is_empty:
+            op = KStepOperator(weights[orbit], cfg.kind, k)
+            u = randomized_low_rank(op, FactorizeConfig(seed=_block_seed(7, k, orbit), **fac)).U
+            expected[:, i * local_rank : i * local_rank + rank] = normalize_columns(u)
+    np.testing.assert_array_equal(local_embeddings(g, weights, cfg).matrix, expected)
+
+
 def test_block_tiling_is_validated():
     with pytest.raises(ValueError, match="tile"):
         ConcatenatedEmbeddings(np.zeros((3, 4)), (Block(1, 1, slice(0, 3)),))
@@ -146,13 +164,18 @@ def test_duplicated_column_block_preserves_node_similarity_structure():
     np.testing.assert_allclose(g2, np.sqrt(2.0) * g1, atol=1e-10 * np.abs(g1).max())
 
 
-def test_global_rank_clamps_to_column_count():
+def test_global_rank_past_column_count_pads_with_zeros():
     g = erdos_renyi(15, 0.4, seed=3)
     cfg = PipelineConfig(orbits=(1, 2, 3), max_steps=1, local_rank=2, global_rank=128)
     res = embed_graph(g, cfg)
     assert res.concatenated.matrix.shape[1] == 6
-    assert res.embedding.nodes.shape == (15, 6)
-    assert res.embedding.basis.shape == (6, 6)
+    assert res.embedding.nodes.shape == (15, 128)
+    assert res.embedding.basis.shape == (128, 6)
+    assert not res.embedding.nodes[:, 6:].any() and not res.embedding.basis[6:].any()
+    # the leading components are the fusion at the column count
+    at_cols = global_embedding(res.concatenated, 6)
+    np.testing.assert_array_equal(res.embedding.nodes[:, :6], at_cols.nodes)
+    np.testing.assert_array_equal(res.embedding.basis[:6], at_cols.basis)
 
 
 # ----------------------------------------------------------------- diffusion
