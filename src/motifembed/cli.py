@@ -50,7 +50,7 @@ class _Parser(argparse.ArgumentParser):
 def read_config_file(path: str) -> dict[str, str]:
     """Parse ``key=value`` lines; '#' starts a comment; keys use flag names."""
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # -sig: drop a leading BOM
         for line_no, line in enumerate(fh, start=1):
             text = line.strip()
             if not text or text.startswith("#"):

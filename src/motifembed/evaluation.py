@@ -11,8 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from motifembed.graph import Graph
-from motifembed.orbits import count_edge_orbits
-from motifembed.pipeline import PipelineConfig, embed_graph, local_embeddings, orbit_weights
+from motifembed.pipeline import PipelineConfig, embed_graph
 
 log = logging.getLogger("motifembed.evaluation")
 
@@ -20,6 +19,9 @@ log = logging.getLogger("motifembed.evaluation")
 # the share of labeled pairs on which (steps, lambda) is selected
 LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
 FOLDS = 10
+# every logistic fit stops at this gradient norm, or else at this many iterations
+LOGREG_GRAD_TOL = 1e-6
+LOGREG_MAX_ITER = 500
 SELECTION_FRACTION = 0.1
 DEFAULT_STEP_GRID = (1, 2, 3, 4)
 
@@ -33,7 +35,6 @@ class LinkPredSplit:
     train_graph: Graph
     positives: np.ndarray  # held-out edges, shape (n_pos, 2)
     negatives: np.ndarray  # sampled non-edges, shape (n_pos, 2)
-    seed: int
 
 
 def make_split(g: Graph, seed: int) -> LinkPredSplit:
@@ -78,7 +79,7 @@ def make_split(g: Graph, seed: int) -> LinkPredSplit:
         keys = keys[np.sort(np.unique(keys, return_index=True)[1])]
     keys = np.sort(keys[:n_hold])
     negatives = np.stack([keys // n, keys % n], axis=1)
-    return LinkPredSplit(train_graph=train, positives=positives, negatives=negatives, seed=seed)
+    return LinkPredSplit(train_graph=train, positives=positives, negatives=negatives)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +153,6 @@ def _logistic(z: np.ndarray) -> np.ndarray:
 class LogRegModel:
     weights: np.ndarray
     bias: float
-    reg: float
     iterations: int
     converged: bool
 
@@ -166,13 +166,7 @@ def _penalized_loss(z, labels, weights, reg):
     return loss + 0.5 * reg * float(weights @ weights)
 
 
-def fit_logreg(
-    features: np.ndarray,
-    labels: np.ndarray,
-    reg: float,
-    max_iter: int = 500,
-    grad_tol: float = 1e-6,
-) -> LogRegModel:
+def fit_logreg(features: np.ndarray, labels: np.ndarray, reg: float) -> LogRegModel:
     """Minimize mean log-loss + (reg/2)·‖w‖² (bias unregularized).
 
     Damped Newton (IRLS) from zero. Each iteration solves the Newton system
@@ -182,9 +176,9 @@ def fit_logreg(
     condition holds.
     ``reg > 0`` makes the problem strictly convex, so the optimum is unique
     and the Hessian is positive definite even for rank-deficient features.
-    The fit stops once the gradient norm is at most ``grad_tol``; a fit that
-    reaches ``max_iter`` first is returned with ``converged=False`` and a
-    warning.
+    The fit stops once the gradient norm is at most ``LOGREG_GRAD_TOL``; a
+    fit that reaches ``LOGREG_MAX_ITER`` iterations first is returned with
+    ``converged=False`` and a warning.
     """
     if not (np.isfinite(reg) and reg > 0):
         raise ValueError(f"reg must be positive and finite, got {reg}")
@@ -204,10 +198,10 @@ def fit_logreg(
     obj = _penalized_loss(z, labels, coef[:-1], reg)
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, LOGREG_MAX_ITER + 1):
         prob = _logistic(z)
         grad = design.T @ (prob - labels) / n + penalty * coef
-        if np.linalg.norm(grad) <= grad_tol:
+        if np.linalg.norm(grad) <= LOGREG_GRAD_TOL:
             converged = True
             break
         scaled = design * np.sqrt(prob * (1.0 - prob) / n)[:, None]
@@ -232,11 +226,11 @@ def fit_logreg(
     if not converged:
         log.warning(
             "logistic regression stopped at its %d-iteration cap above grad_tol=%g (reg=%g)",
-            max_iter,
-            grad_tol,
+            LOGREG_MAX_ITER,
+            LOGREG_GRAD_TOL,
             reg,
         )
-    return LogRegModel(weights=coef[:-1], bias=float(coef[-1]), reg=reg, iterations=it, converged=converged)
+    return LogRegModel(weights=coef[:-1], bias=float(coef[-1]), iterations=it, converged=converged)
 
 
 def _stratified_folds(labels: np.ndarray, folds: int, rng: np.random.Generator):
@@ -322,11 +316,10 @@ def evaluate_one_seed(g: Graph, cfg: EvalConfig, seed: int) -> SeedOutcome:
     stratified subsample, and report the 10-fold CV AUC over all labeled
     pairs at the chosen setting.
 
-    The train graph's orbits are counted once, and its local blocks are
-    built once, into one matrix, at the largest step count of the grid.
-    Each grid step then runs :func:`embed_graph` on the column prefix that
-    holds the first ``steps`` steps, with its own diffusion and global
-    fusion; the result equals a run from scratch at that step count.
+    The train graph is embedded from scratch once, at the largest step
+    count of the grid; every other grid step passes that result to
+    :func:`embed_graph` as its prior, so the orbits are counted and the
+    local blocks built once, and each result equals a run from scratch.
     """
     split = make_split(g, seed)
     pairs, labels = _labeled_pairs(split)
@@ -336,13 +329,12 @@ def evaluate_one_seed(g: Graph, cfg: EvalConfig, seed: int) -> SeedOutcome:
     embed_seed = int(np.random.SeedSequence((cfg.base_seed, seed, 0xEB)).generate_state(1)[0])
     pipeline_cfg = replace(cfg.pipeline, seed=embed_seed)
     train = split.train_graph
-    counts = count_edge_orbits(train)
-    weights = orbit_weights(train, counts, pipeline_cfg)
-    local = local_embeddings(train, weights, replace(pipeline_cfg, max_steps=max(cfg.step_grid)))
+    widest = embed_graph(train, replace(pipeline_cfg, max_steps=max(cfg.step_grid)))
 
     best = None  # (auc, steps, lambda, features)
     for steps in cfg.step_grid:
-        result = embed_graph(train, replace(pipeline_cfg, max_steps=steps), counts=counts, local=local)
+        step_cfg = replace(pipeline_cfg, max_steps=steps)
+        result = widest if step_cfg == widest.config else embed_graph(train, step_cfg, prior=widest)
         features = edge_features_mean(result.embedding.nodes, pairs)
         scores = cross_val_auc(features[sub], labels[sub], LAMBDA_GRID, seed=seed)
         for reg, score in zip(LAMBDA_GRID, scores):

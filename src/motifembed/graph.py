@@ -183,20 +183,20 @@ def load_edge_list(
     with the original labels retained.
     """
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8-sig") as fh:  # -sig: drop a leading BOM
             return load_edge_list(fh, one_indexed=one_indexed, skip_header=skip_header)
 
     raw_u: list[int] = []
     raw_v: list[int] = []
     header_pending = skip_header
+    low = 1 if one_indexed else _INT64_MIN
     for line_no, line in enumerate(source, start=1):
-        text = line.strip()
-        if not text or text.startswith("%") or text.startswith("#"):
+        tokens = line.split(None, 2)  # u, v, and the ignored rest
+        if not tokens or tokens[0][0] in "%#":
             continue
         if header_pending:
             header_pending = False
             continue
-        tokens = text.split()
         if len(tokens) < 2:
             raise EdgeListParseError(line_no, f"expected at least 2 tokens, got {len(tokens)}")
         try:
@@ -204,10 +204,10 @@ def load_edge_list(
             b = int(tokens[1])
         except ValueError as exc:
             raise EdgeListParseError(line_no, f"malformed integer token: {exc}") from None
-        for label in (a, b):
-            if not _INT64_MIN <= label <= _INT64_MAX:
-                raise EdgeListParseError(line_no, f"node label {label} is outside the int64 range")
-        if one_indexed and (a < 1 or b < 1):
+        if not low <= a <= _INT64_MAX >= b >= low:
+            for label in (a, b):
+                if not _INT64_MIN <= label <= _INT64_MAX:
+                    raise EdgeListParseError(line_no, f"node label {label} is outside the int64 range")
             raise EdgeListParseError(line_no, f"node id {min(a, b)} invalid in one-indexed input")
         raw_u.append(a)
         raw_v.append(b)

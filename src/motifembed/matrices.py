@@ -40,8 +40,6 @@ class MotifWeightedGraph:
     """
 
     matrix: sp.csr_matrix
-    orbit: int
-    delta: int
     is_empty: bool
 
     @property
@@ -66,7 +64,7 @@ def build_motif_weight_matrix(
     w[w < delta] = 0.0
     mat = sp.csr_matrix((w, adj.indices, adj.indptr), shape=adj.shape, copy=True)
     mat.eliminate_zeros()
-    return MotifWeightedGraph(matrix=mat, orbit=orbit, delta=delta, is_empty=mat.nnz == 0)
+    return MotifWeightedGraph(matrix=mat, is_empty=mat.nnz == 0)
 
 
 def motif_degrees(wg: MotifWeightedGraph) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import product
 from typing import NamedTuple
@@ -138,13 +138,6 @@ def orbit_weights(
     return {orbit: build_motif_weight_matrix(g, counts, orbit, cfg.delta) for orbit in cfg.orbits}
 
 
-def _layout(cfg: PipelineConfig) -> list[tuple[int, int, slice]]:
-    """(k, orbit, columns) of every local block, k-major, ``cfg.local_rank`` wide."""
-    r = cfg.local_rank
-    pairs = product(range(1, cfg.max_steps + 1), cfg.orbits)
-    return [(k, orbit, slice(i * r, (i + 1) * r)) for i, (k, orbit) in enumerate(pairs)]
-
-
 def local_embeddings(
     g: Graph, weights: dict[int, MotifWeightedGraph], cfg: PipelineConfig
 ) -> ConcatenatedEmbeddings:
@@ -157,11 +150,12 @@ def local_embeddings(
     all-zero blocks, and a rank shortfall leaves the trailing columns of a
     block zero, so the layout never varies.
     """
-    n = g.num_nodes
-    layout = _layout(cfg)
-    matrix = np.zeros((n, len(layout) * cfg.local_rank), order="F")
+    r = cfg.local_rank
+    pairs = list(product(range(1, cfg.max_steps + 1), cfg.orbits))
+    matrix = np.zeros((g.num_nodes, len(pairs) * r), order="F")
     blocks = []
-    for k, orbit, columns in layout:
+    for i, (k, orbit) in enumerate(pairs):
+        columns = slice(i * r, (i + 1) * r)
         wg = weights[orbit]
         if wg.is_empty:
             log.info("orbit %d has no edges at delta=%d; zero block", orbit, cfg.delta)
@@ -246,25 +240,20 @@ class PipelineResult:
     concatenated: ConcatenatedEmbeddings
     counts: EdgeOrbitCounts
     config: PipelineConfig
-    # wall seconds per stage: count (0 when counts were given), diffuse
-    # (0 without diffusion), local (the local blocks, unless they were
-    # given) and global
+    # wall seconds per stage: count (0 with a prior), diffuse (0 without
+    # diffusion), local (the local blocks, unless a prior lent them) and
+    # global
     seconds: dict[str, float] = field(default_factory=dict)
 
 
 def _fusion_input(
     local: ConcatenatedEmbeddings, cfg: PipelineConfig, attributes: np.ndarray | None
 ) -> ConcatenatedEmbeddings:
-    """The blocks for k <= cfg.max_steps, a column prefix of a local set
-    built at a step count of at least cfg.max_steps, followed by the
-    attributes when given (copied with the prefix into a fresh matrix)."""
-    expected = _layout(cfg)
-    blocks = local.blocks[: len(expected)]
-    if [(b.k, b.orbit, b.columns) for b in blocks] != expected:
-        raise ValueError(
-            f"blocks do not cover max_steps={cfg.max_steps} over orbits {cfg.orbits}"
-            f" at local_rank={cfg.local_rank} in k-major order"
-        )
+    """The first cfg.max_steps × len(cfg.orbits) blocks of a local set built
+    at a step count of at least cfg.max_steps (those for k <= cfg.max_steps,
+    a column prefix), followed by the attributes when given (copied with the
+    prefix into a fresh matrix)."""
+    blocks = local.blocks[: cfg.max_steps * len(cfg.orbits)]
     width = blocks[-1].columns.stop
     if attributes is None:
         return ConcatenatedEmbeddings(local.matrix[:, :width], blocks)
@@ -274,22 +263,27 @@ def _fusion_input(
     return ConcatenatedEmbeddings(matrix, (*blocks, Block(None, None, slice(width, matrix.shape[1]))))
 
 
-def embed_graph(
-    g: Graph,
-    cfg: PipelineConfig,
-    counts: EdgeOrbitCounts | None = None,
-    local: ConcatenatedEmbeddings | None = None,
-) -> PipelineResult:
+def embed_graph(g: Graph, cfg: PipelineConfig, prior: PipelineResult | None = None) -> PipelineResult:
     """Run the whole pipeline: counts, diffusion, local blocks, global factors.
 
-    ``counts`` and ``local`` let a caller share work across runs on the same
-    graph. ``local`` must come from :func:`local_embeddings` on the orbit
-    weights of ``g`` and ``counts``, with ``cfg`` at a step count of at least
-    ``cfg.max_steps`` (nothing else changed): block seeds depend only on
-    (seed, k, orbit), so the first ``cfg.max_steps`` steps of that set are a
-    column prefix holding the blocks this run would build. Without diffusion
-    the result's matrix is a view of that prefix.
+    ``prior``, an earlier result on ``g``, lends this run its orbit counts
+    and local blocks. Block seeds depend only on (seed, k, orbit), so a prior
+    run at a step count of at least ``cfg.max_steps``, its config otherwise
+    differing at most in global rank, diffusion and fusion options, holds
+    this run's blocks as a column prefix, and the result equals a run from
+    scratch; any other prior raises ValueError. Without diffusion the
+    result's matrix is a view of that prefix.
     """
+    if prior is not None:
+        shared = replace(prior.config, max_steps=cfg.max_steps, global_rank=cfg.global_rank,
+                         diffusion=cfg.diffusion, ccd=cfg.ccd)
+        same_graph = prior.counts.graph_fingerprint == g.fingerprint()
+        if prior.config.max_steps < cfg.max_steps or shared != cfg or not same_graph:
+            raise ValueError(
+                f"the prior does not hold the blocks of max_steps={cfg.max_steps}: it must come from"
+                " the same graph, at least that many steps, and the same orbits, local_rank, kind,"
+                " delta and seed"
+            )
     seconds: dict[str, float] = {}
     clock = time.perf_counter()
 
@@ -299,8 +293,7 @@ def embed_graph(
         seconds[stage] = now - clock
         clock = now
 
-    if counts is None:
-        counts = count_edge_orbits(g)
+    counts = count_edge_orbits(g) if prior is None else prior.counts
     lap("count")
     # each orbit's weight matrix is built once, by the first stage that reads it
     weights = attributes = None
@@ -308,8 +301,10 @@ def embed_graph(
         weights = orbit_weights(g, counts, cfg)
         attributes = diffuse_attributes(g, weights, node_motif_features(g, counts), cfg)
     lap("diffuse")
-    if local is None:
+    if prior is None:
         local = local_embeddings(g, weights or orbit_weights(g, counts, cfg), cfg)
+    else:
+        local = prior.concatenated
     conc = _fusion_input(local, cfg, attributes)
     del local, attributes  # conc holds all that the global step reads
     lap("local")

@@ -340,6 +340,13 @@ class TestConfigPrecedence:
         assert "# seed=4" in text
         assert "# dl=2" in text
 
+    def test_config_file_may_start_with_a_byte_order_mark(self, ring_graph, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dl=2\ninput={ring_graph}\nd=8\nk=1\n", encoding="utf-8-sig")
+        out = tmp_path / "z.tsv"
+        assert run_cli(["embed", "--config", str(cfg), "--out", str(out)])[0] == 0
+        assert "# dl=2" in out.read_text()
+
     def test_flags_override_config(self, ring_graph, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"input={ring_graph}\ndl=2\nd=8\nk=1\nseed=4\n")

@@ -344,10 +344,11 @@ def test_fit_logreg_reaches_the_optimum_at_every_lambda(case):
         assert obj <= reference.fun + 1e-9
 
 
-def test_fit_logreg_warns_at_its_iteration_cap(caplog):
+def test_fit_logreg_warns_at_its_iteration_cap(caplog, monkeypatch):
     x, y = logistic_draw(n=200)
+    monkeypatch.setattr(evaluation, "LOGREG_MAX_ITER", 1)
     with caplog.at_level(logging.WARNING, logger="motifembed.evaluation"):
-        model = fit_logreg(x, y, 1e-4, max_iter=1)
+        model = fit_logreg(x, y, 1e-4)
     assert not model.converged
     assert model.iterations == 1
     assert "1-iteration cap" in caplog.text
@@ -460,14 +461,14 @@ def test_shared_split_work_equals_embedding_from_scratch(monkeypatch, diffusion)
     cfg = EvalConfig(pipeline=replace(TINY_PIPELINE, diffusion=diffusion), step_grid=(1, 2, 3), n_seeds=1)
     runs = []
 
-    def recording(graph, step_cfg, **shared):
-        result = embed_graph(graph, step_cfg, **shared)
+    def recording(graph, step_cfg, prior=None):
+        result = embed_graph(graph, step_cfg, prior=prior)
         runs.append((graph, step_cfg, result))
         return result
 
     monkeypatch.setattr(evaluation, "embed_graph", recording)
     assert evaluate_one_seed(g, cfg, 3) == _protocol_from_scratch(g, cfg, 3)
-    assert [step_cfg.max_steps for _, step_cfg, _ in runs] == [1, 2, 3]
+    assert [step_cfg.max_steps for _, step_cfg, _ in runs] == [3, 1, 2]
     for graph, step_cfg, result in runs:
         fresh = embed_graph(graph, step_cfg)
         assert result.embedding.nodes.tobytes() == fresh.embedding.nodes.tobytes()
@@ -476,13 +477,12 @@ def test_shared_split_work_equals_embedding_from_scratch(monkeypatch, diffusion)
 
 def test_orbits_are_counted_once_per_split(monkeypatch):
     calls = []
-    original = evaluation.count_edge_orbits
+    original = pipeline.count_edge_orbits
 
     def counting(graph):
         calls.append(graph)
         return original(graph)
 
-    monkeypatch.setattr(evaluation, "count_edge_orbits", counting)
     monkeypatch.setattr(pipeline, "count_edge_orbits", counting)
     g = erdos_renyi(35, 0.2, seed=17)
     run_experiment(g, EvalConfig(pipeline=TINY_PIPELINE, step_grid=(1, 2, 3), n_seeds=2))

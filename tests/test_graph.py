@@ -51,6 +51,14 @@ def test_skip_header_skips_first_noncomment_line():
     assert g.num_edges == 2
 
 
+def test_a_byte_order_mark_is_skipped(tmp_path):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text("0 1\n1 2\n", encoding="utf-8")
+    marked.write_text("0 1\n1 2\n", encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_edge_list(marked) == load_edge_list(plain)
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(EdgeListParseError, match="line 2"):
         load_edge_list(io.StringIO("0 1\n2\n"))

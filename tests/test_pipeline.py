@@ -66,7 +66,7 @@ def test_attributes_appended_last():
     g = erdos_renyi(20, 0.3, seed=2)
     cfg = PipelineConfig(max_steps=2, local_rank=16, diffusion=DiffusionConfig(DiffusionVariant.LINEAR))
     counts = count_edge_orbits(g)
-    y = embed_graph(g, cfg, counts=counts).concatenated
+    y = embed_graph(g, cfg).concatenated
     assert y.matrix.shape[1] == 416 + 13 * 52
     assert y.blocks[-1] == Block(None, None, slice(416, 416 + 13 * 52))
     np.testing.assert_array_equal(y.matrix[:, :416], local_of(g, counts, cfg).matrix)
@@ -279,16 +279,30 @@ def test_embed_graph_is_deterministic():
 
 def test_embed_graph_takes_the_step_prefix_of_given_blocks():
     g = erdos_renyi(30, 0.2, seed=4)
-    counts = count_edge_orbits(g)
     cfg = PipelineConfig(orbits=(1, 3), max_steps=2, local_rank=3, global_rank=6, seed=9)
-    local = local_of(g, counts, replace(cfg, max_steps=3))
-    shared = embed_graph(g, cfg, counts=counts, local=local)
+    prior = embed_graph(g, replace(cfg, max_steps=3))
+    shared = embed_graph(g, cfg, prior=prior)
     fresh = embed_graph(g, cfg)
     assert shared.embedding.nodes.tobytes() == fresh.embedding.nodes.tobytes()
     assert shared.concatenated.blocks == fresh.concatenated.blocks
-    # without diffusion the prefix is a view of the shared set, not a copy
-    assert np.shares_memory(shared.concatenated.matrix, local.matrix)
+    assert shared.counts is prior.counts
+    # without diffusion the prefix is a view of the prior's blocks, not a copy
+    assert np.shares_memory(shared.concatenated.matrix, prior.concatenated.matrix)
     assert shared.concatenated.matrix.shape == (30, 12)
+
+
+def test_a_wider_prior_differing_in_fusion_settings_gives_a_fresh_run():
+    g = erdos_renyi(30, 0.2, seed=4)
+    cfg = PipelineConfig(orbits=(1, 3), max_steps=2, local_rank=3, global_rank=6, seed=9)
+    prior = embed_graph(g, replace(
+        cfg, max_steps=3, global_rank=4, diffusion=DiffusionConfig(DiffusionVariant.LINEAR),
+        ccd=CcdOptions(reg=1e-2),
+    ))
+    shared = embed_graph(g, cfg, prior=prior)
+    fresh = embed_graph(g, cfg)
+    assert shared.config == cfg
+    assert shared.embedding.nodes.tobytes() == fresh.embedding.nodes.tobytes()
+    assert shared.concatenated.matrix.tobytes() == fresh.concatenated.matrix.tobytes()
 
 
 @pytest.mark.parametrize("diffusion", [None, DiffusionConfig(DiffusionVariant.LINEAR)])
@@ -298,22 +312,29 @@ def test_fresh_fusion_input_is_fortran_ordered(diffusion):
     assert embed_graph(g, cfg).concatenated.matrix.flags.f_contiguous
 
 
-def test_embed_graph_rejects_blocks_that_do_not_cover_the_steps():
+def test_embed_graph_rejects_priors_that_do_not_hold_its_blocks():
     g = erdos_renyi(30, 0.2, seed=4)
-    counts = count_edge_orbits(g)
     cfg = PipelineConfig(orbits=(1, 3), max_steps=2, local_rank=3, global_rank=6)
-    short = local_of(g, counts, PipelineConfig(orbits=(1, 3), max_steps=1, local_rank=3))
-    other_orbits = local_of(g, counts, PipelineConfig(orbits=(3, 1), max_steps=2, local_rank=3))
-    other_rank = local_of(g, counts, PipelineConfig(orbits=(1, 3), max_steps=2, local_rank=4))
-    for local in (short, other_orbits, other_rank):
-        with pytest.raises(ValueError, match="max_steps=2"):
-            embed_graph(g, cfg, counts=counts, local=local)
+    priors = [
+        embed_graph(g, replace(cfg, **change))
+        for change in (
+            {"max_steps": 1},
+            {"orbits": (3, 1)},
+            {"local_rank": 4},
+            {"kind": MotifMatrixKind.TRANSITION},
+            {"seed": 1},
+            {"delta": 2},
+        )
+    ]
+    priors.append(embed_graph(erdos_renyi(30, 0.2, seed=5), cfg))
+    for prior in priors:
+        with pytest.raises(ValueError, match="prior does not hold the blocks of max_steps=2"):
+            embed_graph(g, cfg, prior=prior)
 
 
 @pytest.mark.parametrize("diffusion", [None, DiffusionConfig(DiffusionVariant.LINEAR)])
 def test_embed_graph_builds_each_weight_matrix_once(monkeypatch, diffusion):
     g = erdos_renyi(25, 0.3, seed=8)
-    counts = count_edge_orbits(g)
     cfg = PipelineConfig(max_steps=2, local_rank=3, global_rank=6, diffusion=diffusion)
     built = []
 
@@ -322,12 +343,11 @@ def test_embed_graph_builds_each_weight_matrix_once(monkeypatch, diffusion):
         return build_motif_weight_matrix(graph, orbit_counts, orbit, delta)
 
     monkeypatch.setattr(pipeline, "build_motif_weight_matrix", counting)
-    embed_graph(g, cfg, counts=counts)
+    prior = embed_graph(g, cfg)
     assert built == list(range(1, NUM_ORBITS + 1))
-    # given blocks and no diffusion, no stage reads a weight matrix
-    local = local_of(g, counts, cfg)
+    # with a prior and no diffusion, no stage reads a weight matrix
     built.clear()
-    embed_graph(g, replace(cfg, diffusion=None), counts=counts, local=local)
+    embed_graph(g, replace(cfg, diffusion=None), prior=prior)
     assert built == []
 
 

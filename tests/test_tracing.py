@@ -4,6 +4,7 @@ import importlib.util
 from pathlib import Path
 
 import motifembed.pipeline as pipeline
+from motifembed.evaluation import EvalConfig, run_experiment
 from motifembed.generators import cycle_graph, erdos_renyi
 from motifembed.matrices import MotifMatrixKind
 
@@ -49,3 +50,22 @@ def test_tracer_counts_the_zero_blocks_the_pipeline_records():
     assert 0 < zero < len(y.blocks)
     assert metrics["pipeline.zero_blocks"] == zero
     assert metrics["pipeline.local_s"] > 0
+
+
+def test_tracer_sees_the_protocol_count_once_and_embed_per_step():
+    # the benchmark's fusion ratio is the mean over every captured embed_graph result
+    spans = load_spans()
+    cfg = EvalConfig(
+        pipeline=pipeline.PipelineConfig(local_rank=4, global_rank=12),
+        step_grid=(1, 2, 3),
+        n_seeds=1,
+    )
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        run_experiment(erdos_renyi(40, 0.2, seed=13), cfg)
+    metrics = spans.layer_metrics(tracer)
+    assert metrics["evaluation.count_calls"] == 1
+    assert metrics["evaluation.embed_calls"] == 3
+    assert metrics["matrices.build_calls"] == 13
+    assert metrics["pipeline.local_s"] > 0
+    assert len(tracer.embeddings) == 3
