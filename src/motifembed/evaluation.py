@@ -166,8 +166,20 @@ def _penalized_loss(z, labels, weights, reg):
     return loss + 0.5 * reg * float(weights @ weights)
 
 
-def fit_logreg(features: np.ndarray, labels: np.ndarray, reg: float) -> LogRegModel:
+def _with_bias_column(features: np.ndarray) -> np.ndarray:
+    """The design of :func:`fit_logreg`: ``features`` with an all-ones column
+    appended, whose coefficient is the bias."""
+    return np.hstack([features, np.ones((len(features), 1))])
+
+
+def fit_logreg(
+    features: np.ndarray, labels: np.ndarray, reg: float, *, has_bias_column: bool = False
+) -> LogRegModel:
     """Minimize mean log-loss + (reg/2)·‖w‖² (bias unregularized).
+
+    ``has_bias_column=True`` says that the last column of ``features`` is
+    already the all-ones bias column, so a caller that fits the same rows at
+    several regs builds that design once.
 
     Damped Newton (IRLS) from zero. Each iteration solves the Newton system
     with the Hessian Xᵀdiag(p(1−p))X/n + reg (no reg on the bias), formed as
@@ -189,8 +201,8 @@ def fit_logreg(features: np.ndarray, labels: np.ndarray, reg: float) -> LogRegMo
         raise ValueError("labels must be 0/1")
     if positive.all() or not positive.any():
         raise ValueError("need both classes to fit")
-    n, dim = features.shape
-    design = np.hstack([features, np.ones((n, 1))])  # the last coefficient is the bias
+    design = features if has_bias_column else _with_bias_column(features)
+    n, dim = len(design), design.shape[1] - 1  # the last coefficient is the bias
     penalty = np.full(dim + 1, reg)
     penalty[-1] = 0.0
     coef = np.zeros(dim + 1)
@@ -261,9 +273,11 @@ def cross_val_auc(
     for j, held in enumerate(parts):
         mask = np.ones(labels.size, dtype=bool)
         mask[held] = False
-        train_x, train_y, held_x, held_y = features[mask], labels[mask], features[held], labels[held]
+        train_x, train_y = _with_bias_column(features[mask]), labels[mask]
+        held_x, held_y = features[held], labels[held]
         for i, reg in enumerate(regs):
-            scores[i, j] = auc(fit_logreg(train_x, train_y, reg).decision_scores(held_x), held_y)
+            model = fit_logreg(train_x, train_y, reg, has_bias_column=True)
+            scores[i, j] = auc(model.decision_scores(held_x), held_y)
     return [float(np.mean(row)) for row in scores]
 
 

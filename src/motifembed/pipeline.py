@@ -2,7 +2,9 @@
 
 For every (step k, orbit t) pair: threshold the orbit's counts into a weight
 matrix, wrap the implicit k-step operator for the configured matrix kind,
-factorize it at the local rank, and column-normalize the left factors. Each
+factorize it at the local rank, and column-normalize the left factors (for
+the raw weights, kind w, only k=1 is factorized: W^k has the singular
+vectors of W, and step k's block is step 1's with column signs). Each
 block is written into its own columns of one local-block matrix, in k-major
 order (all orbits for k=1, then k=2, ...), so the blocks of the first s steps
 are a column prefix. That prefix, optionally followed by diffused node
@@ -149,16 +151,27 @@ def local_embeddings(
     on. Orbits whose weight matrix is empty at the configured delta keep
     all-zero blocks, and a rank shortfall leaves the trailing columns of a
     block zero, so the layout never varies.
+
+    Every block is a randomized factorization of its k-step matrix, except
+    for kind w past k=1. W is symmetric, so W^k = VΛ^kVᵀ has the singular
+    vectors of W in the same order, and each orbit is factorized once, at
+    k=1: the block at step k is that block with column i times
+    sgn(λᵢ)^(k−1), the sign rule of :func:`randomized_low_rank` applied to
+    W^k. A block still depends only on (seed, k, orbit).
     """
     r = cfg.local_rank
     pairs = list(product(range(1, cfg.max_steps + 1), cfg.orbits))
     matrix = np.zeros((g.num_nodes, len(pairs) * r), order="F")
     blocks = []
+    first_step = {}  # kind w: orbit -> (columns, column signs) of its k=1 block
     for i, (k, orbit) in enumerate(pairs):
         columns = slice(i * r, (i + 1) * r)
         wg = weights[orbit]
         if wg.is_empty:
             log.info("orbit %d has no edges at delta=%d; zero block", orbit, cfg.delta)
+        elif orbit in first_step:
+            first, sign = first_step[orbit]
+            matrix[:, columns] = matrix[:, first] * sign ** (k - 1)
         else:
             op = KStepOperator(wg, cfg.kind, k)
             fac_cfg = FactorizeConfig(
@@ -167,7 +180,12 @@ def local_embeddings(
                 power_iters=POWER_ITERS,
                 seed=_block_seed(cfg.seed, k, orbit),
             )
-            matrix[:, columns] = normalize_columns(randomized_low_rank(op, fac_cfg).U)
+            factors = randomized_low_rank(op, fac_cfg)
+            matrix[:, columns] = normalize_columns(factors.U)
+            if cfg.kind is MotifMatrixKind.WEIGHTED_GRAPH:
+                # sgn(λᵢ) is the sign of uᵢ·vᵢ; a zero component counts as +1
+                paired = np.einsum("ij,ji->j", factors.U, factors.V)
+                first_step[orbit] = (columns, np.where(paired < 0, -1.0, 1.0))
         blocks.append(Block(k, orbit, columns, wg.is_empty))
     matrix.flags.writeable = False
     return ConcatenatedEmbeddings(matrix, tuple(blocks))

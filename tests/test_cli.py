@@ -214,8 +214,10 @@ class TestEmbed:
         assert len(y_body[0].split("\t")) == 1 + 26
 
     def test_writes_d_values_when_the_blocks_are_narrower(self, tmp_path):
-        # 60 nodes at --dl 4: 26 blocks give 104 columns of rank at most 60,
-        # so the fusion pads its 128 columns with zeros from column 60 on
+        # 60 nodes at --dl 4 and the default --k 2 of kind w: the 13 one-step
+        # blocks have rank 52, and each k=2 block is its one-step block with
+        # column signs, so the fusion pads its 128 columns with zeros from
+        # column 52 on
         g = erdos_renyi(60, 0.15, seed=4)
         path = tmp_path / "gnp.edges"
         path.write_text("".join(f"{u} {v}\n" for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist())))
@@ -224,7 +226,10 @@ class TestEmbed:
         assert "# d=128" in out.read_text().splitlines()
         rows = np.array([ln.split("\t") for ln in read_body(out)], dtype=float)
         assert rows.shape == (60, 1 + 128)
-        assert rows[:, 1:61].any(axis=0).all() and not rows[:, 61:].any()
+        one_step = pipeline.embed_graph(g, pipeline.PipelineConfig(max_steps=1, local_rank=4))
+        rank = np.linalg.matrix_rank(one_step.concatenated.matrix)
+        assert rank == 52
+        assert rows[:, 1 : rank + 1].any(axis=0).all() and not rows[:, rank + 1 :].any()
 
     @pytest.mark.parametrize(
         "y_name, exists",

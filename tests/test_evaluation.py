@@ -293,6 +293,19 @@ def test_fit_logreg_validates_labels():
         fit_logreg(x, np.ones(4), 0.1)
 
 
+def test_fit_logreg_on_a_design_with_its_bias_column_equals_the_plain_fit():
+    x, y = logistic_draw(n=120)
+    design = np.hstack([x, np.ones((len(x), 1))])
+    plain = fit_logreg(x, y, 1e-2)
+    prebuilt = fit_logreg(design, y, 1e-2, has_bias_column=True)
+    assert plain.weights.tobytes() == prebuilt.weights.tobytes()
+    assert (plain.bias, plain.iterations) == (prebuilt.bias, prebuilt.iterations)
+    with pytest.raises(ValueError, match="0/1"):
+        fit_logreg(design, np.full(120, 2.0), 1e-2, has_bias_column=True)
+    with pytest.raises(ValueError, match="reg"):
+        fit_logreg(design, y, 0.0, has_bias_column=True)
+
+
 def test_fit_logreg_converges_on_scaled_features():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(200, 8)) * 0.01  # small-scale columns

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from motifembed.factorize import CcdOptions, FactorizeConfig, normalize_columns, randomized_low_rank
-from motifembed.generators import complete_graph, erdos_renyi
+from motifembed.generators import complete_graph, cycle_graph, erdos_renyi
 from motifembed.graph import Graph
 from motifembed.matrices import MotifMatrixKind, build_motif_weight_matrix
 from motifembed.operators import KStepOperator, dense_kstep
@@ -101,12 +101,73 @@ def test_small_graph_blocks_equal_hand_clamped_factorizations(n, local_rank):
     rank = min(local_rank, n)
     fac = dict(rank=rank, oversample=min(pipeline.OVERSAMPLE, n - rank), power_iters=pipeline.POWER_ITERS)
     expected = np.zeros((n, 26 * local_rank))
-    for i, (k, orbit) in enumerate((k, t) for k in (1, 2) for t in range(1, NUM_ORBITS + 1)):
+    for i, orbit in enumerate(range(1, NUM_ORBITS + 1)):
         if not weights[orbit].is_empty:
-            op = KStepOperator(weights[orbit], cfg.kind, k)
-            u = randomized_low_rank(op, FactorizeConfig(seed=_block_seed(7, k, orbit), **fac)).U
-            expected[:, i * local_rank : i * local_rank + rank] = normalize_columns(u)
+            op = KStepOperator(weights[orbit], cfg.kind, 1)
+            factors = randomized_low_rank(op, FactorizeConfig(seed=_block_seed(7, 1, orbit), **fac))
+            block = normalize_columns(factors.U)
+            # kind w: the k=2 block is the k=1 block with column signs sgn(uᵢ·vᵢ)
+            signs = np.where(np.sum(factors.U * factors.V.T, axis=0) < 0, -1.0, 1.0)
+            expected[:, i * local_rank : i * local_rank + rank] = block
+            expected[:, (NUM_ORBITS + i) * local_rank : (NUM_ORBITS + i) * local_rank + rank] = block * signs
     np.testing.assert_array_equal(local_embeddings(g, weights, cfg).matrix, expected)
+
+
+def derived_and_direct_blocks(g, orbits, steps, local_rank, seed, monkeypatch):
+    """Each nonzero block past k=1 of kind w, and the exact-range factorization
+    of its own k-step matrix at that block's seed: the draw spans every column."""
+    monkeypatch.setattr(pipeline, "OVERSAMPLE", g.num_nodes)
+    cfg = PipelineConfig(orbits=orbits, max_steps=steps, local_rank=local_rank, seed=seed)
+    weights = orbit_weights(g, count_edge_orbits(g), cfg)
+    local = local_embeddings(g, weights, cfg)
+    fac = dict(rank=local_rank, oversample=g.num_nodes, power_iters=pipeline.POWER_ITERS)
+    pairs = []
+    for b in local:
+        if b.k > 1 and not b.is_zero:
+            op = KStepOperator(weights[b.orbit], cfg.kind, b.k)
+            u = randomized_low_rank(op, FactorizeConfig(seed=_block_seed(seed, b.k, b.orbit), **fac)).U
+            pairs.append((local.matrix[:, b.columns], normalize_columns(u)))
+    return pairs
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_kind_w_blocks_past_one_step_equal_their_exact_factorizations(monkeypatch, seed):
+    g = erdos_renyi(80, 0.1, seed=seed)
+    pairs = derived_and_direct_blocks(g, (1, 3, 7), 3, 16, seed, monkeypatch)
+    assert len(pairs) == 6
+    for derived, direct in pairs:
+        np.testing.assert_allclose(derived, direct, rtol=0, atol=1e-10)
+
+
+def test_kind_w_blocks_on_a_bipartite_graph_span_their_exact_subspaces(monkeypatch):
+    # every orbit of an even ring weights like its adjacency, whose spectrum is
+    # ±2cos(2πj/20) with |λ| repeated 2, 4, 4, ... times; rank 10 ends at a gap,
+    # but inside each tie (±λ included) the basis is arbitrary: compare subspaces
+    pairs = derived_and_direct_blocks(cycle_graph(20), (1, 2, 4, 5), 3, 10, 3, monkeypatch)
+    assert len(pairs) == 8
+    for derived, direct in pairs:
+        assert np.allclose(derived.T @ derived, np.eye(10), atol=1e-10)
+        off_span = direct - derived @ (derived.T @ direct)
+        assert np.linalg.norm(off_span, 2) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", [k for k in MotifMatrixKind if k is not MotifMatrixKind.WEIGHTED_GRAPH])
+def test_kinds_other_than_w_factorize_every_step_and_orbit(monkeypatch, kind):
+    g = erdos_renyi(25, 0.3, seed=2)
+    cfg = PipelineConfig(orbits=(1, 2, 3), max_steps=3, local_rank=4, kind=kind, seed=5)
+    seeds = []
+
+    def recording(op, fac_cfg):
+        seeds.append(fac_cfg.seed)
+        return randomized_low_rank(op, fac_cfg)
+
+    monkeypatch.setattr(pipeline, "randomized_low_rank", recording)
+    local_of(g, count_edge_orbits(g), cfg)
+    assert seeds == [_block_seed(5, k, t) for k in (1, 2, 3) for t in (1, 2, 3)]
+    # kind w factorizes only the one-step blocks
+    seeds.clear()
+    local_of(g, count_edge_orbits(g), replace(cfg, kind=MotifMatrixKind.WEIGHTED_GRAPH))
+    assert seeds == [_block_seed(5, 1, t) for t in (1, 2, 3)]
 
 
 def test_block_tiling_is_validated():
@@ -289,6 +350,17 @@ def test_embed_graph_takes_the_step_prefix_of_given_blocks():
     # without diffusion the prefix is a view of the prior's blocks, not a copy
     assert np.shares_memory(shared.concatenated.matrix, prior.concatenated.matrix)
     assert shared.concatenated.matrix.shape == (30, 12)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3])
+def test_kind_w_runs_lent_a_four_step_prior_equal_fresh_runs(steps):
+    g = erdos_renyi(30, 0.2, seed=6)
+    cfg = PipelineConfig(orbits=(1, 2, 3), max_steps=steps, local_rank=4, global_rank=8, seed=2)
+    prior = embed_graph(g, replace(cfg, max_steps=4))
+    shared = embed_graph(g, cfg, prior=prior)
+    fresh = embed_graph(g, cfg)
+    assert shared.concatenated.matrix.tobytes() == fresh.concatenated.matrix.tobytes()
+    assert shared.embedding.nodes.tobytes() == fresh.embedding.nodes.tobytes()
 
 
 def test_a_wider_prior_differing_in_fusion_settings_gives_a_fresh_run():
