@@ -6,7 +6,7 @@ multi-seed experiment protocol with step-count selection.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -166,20 +166,47 @@ def _penalized_loss(z, labels, weights, reg):
     return loss + 0.5 * reg * float(weights @ weights)
 
 
-def _with_bias_column(features: np.ndarray) -> np.ndarray:
-    """The design of :func:`fit_logreg`: ``features`` with an all-ones column
-    appended, whose coefficient is the bias."""
-    return np.hstack([features, np.ones((len(features), 1))])
+def _weighted_gram(rows: np.ndarray, prob: np.ndarray) -> np.ndarray:
+    """Xᵀdiag(p(1−p))X/n, the unpenalized Hessian of the mean log-loss, as
+    one symmetric rank-k product of the rows of X scaled by √(p(1−p)/n)."""
+    scaled = rows * np.sqrt(prob * (1.0 - prob) / len(rows))[:, None]
+    return scaled.T @ scaled  # numpy sends a product with its own transpose to syrk
 
 
-def fit_logreg(
-    features: np.ndarray, labels: np.ndarray, reg: float, *, has_bias_column: bool = False
-) -> LogRegModel:
+@dataclass(eq=False)
+class LogRegDesign:
+    """The rows of a logistic fit: the features with an all-ones column
+    appended, whose coefficient is the bias.
+
+    Every Newton run of :func:`fit_logreg` starts at coef = 0, where
+    p = ½ on every row, so its first Hessian depends on the rows alone. The
+    design forms it on first use and gives each fit a copy, so fits of the
+    same rows at several regs form it once.
+    """
+
+    rows: np.ndarray
+    _start_hessian: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    @classmethod
+    def of(cls, features: np.ndarray) -> LogRegDesign:
+        """The design of a 2-D feature array, one row per sample."""
+        features =np.asarray(features, dtype=np.float64)
+        if features.ndim != 2:
+            raise ValueError(f"features must be 2-D, got shape {features.shape}")
+        return cls(np.hstack([features, np.ones((len(features), 1))]))
+
+    def start_hessian(self) -> np.ndarray:
+        """A copy of the unpenalized Hessian at coef = 0."""
+        if self._start_hessian is None:
+            self._start_hessian = _weighted_gram(self.rows, np.full(len(self.rows), 0.5))
+        return self._start_hessian.copy()
+
+
+def fit_logreg(features: np.ndarray | LogRegDesign, labels: np.ndarray, reg: float) -> LogRegModel:
     """Minimize mean log-loss + (reg/2)·‖w‖² (bias unregularized).
 
-    ``has_bias_column=True`` says that the last column of ``features`` is
-    already the all-ones bias column, so a caller that fits the same rows at
-    several regs builds that design once.
+    ``features`` is a 2-D array, one row per label, or a
+    :class:`LogRegDesign`, whose start Hessian is shared by every fit on it.
 
     Damped Newton (IRLS) from zero. Each iteration solves the Newton system
     with the Hessian Xᵀdiag(p(1−p))X/n + reg (no reg on the bias), formed as
@@ -194,15 +221,19 @@ def fit_logreg(
     """
     if not (np.isfinite(reg) and reg > 0):
         raise ValueError(f"reg must be positive and finite, got {reg}")
-    features = np.asarray(features, dtype=np.float64)
+    design = features if isinstance(features, LogRegDesign) else LogRegDesign.of(features)
+    rows = design.rows
     labels = np.asarray(labels, dtype=np.float64)
+    if labels.shape != (len(rows),):
+        raise ValueError(
+            f"labels must be 1-D with one entry per row, got shape {labels.shape} for {len(rows)} rows"
+        )
     positive = labels == 1.0
     if not (positive | (labels == 0.0)).all():  # NaN is neither
         raise ValueError("labels must be 0/1")
     if positive.all() or not positive.any():
         raise ValueError("need both classes to fit")
-    design = features if has_bias_column else _with_bias_column(features)
-    n, dim = len(design), design.shape[1] - 1  # the last coefficient is the bias
+    n, dim = len(rows), rows.shape[1] - 1  # the last coefficient is the bias
     penalty = np.full(dim + 1, reg)
     penalty[-1] = 0.0
     coef = np.zeros(dim + 1)
@@ -212,12 +243,11 @@ def fit_logreg(
     it = 0
     for it in range(1, LOGREG_MAX_ITER + 1):
         prob = _logistic(z)
-        grad = design.T @ (prob - labels) / n + penalty * coef
+        grad = rows.T @ (prob - labels) / n + penalty * coef
         if np.linalg.norm(grad) <= LOGREG_GRAD_TOL:
             converged = True
             break
-        scaled = design * np.sqrt(prob * (1.0 - prob) / n)[:, None]
-        hess = scaled.T @ scaled  # numpy sends a product with its own transpose to syrk
+        hess = design.start_hessian() if it == 1 else _weighted_gram(rows, prob)
         hess.flat[:: dim + 2] += penalty  # the diagonal
         # numpy's LAPACK, not scipy.linalg.cho_solve: the Hessian product runs
         # in numpy's BLAS, and scipy ships a second BLAS with its own thread
@@ -225,7 +255,7 @@ def fit_logreg(
         # unpinned BLAS threads on a 2-vCPU machine
         direction = -np.linalg.solve(hess, grad)
         slope = float(grad @ direction)
-        dz = design @ direction  # the predictor moves linearly in the step
+        dz = rows @ direction  # the predictor moves linearly in the step
         step = 1.0
         while True:
             cand = coef + step * direction
@@ -269,14 +299,15 @@ def cross_val_auc(
     partition into ``FOLDS`` folds drawn from ``seed``."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xCF)))
     parts = _stratified_folds(labels, FOLDS, rng)
+    rows = LogRegDesign.of(features).rows  # each fold takes its train rows with one index
     scores = np.empty((len(regs), len(parts)))
     for j, held in enumerate(parts):
         mask = np.ones(labels.size, dtype=bool)
         mask[held] = False
-        train_x, train_y = _with_bias_column(features[mask]), labels[mask]
+        train_x, train_y = LogRegDesign(rows[mask]), labels[mask]
         held_x, held_y = features[held], labels[held]
         for i, reg in enumerate(regs):
-            model = fit_logreg(train_x, train_y, reg, has_bias_column=True)
+            model = fit_logreg(train_x, train_y, reg)
             scores[i, j] = auc(model.decision_scores(held_x), held_y)
     return [float(np.mean(row)) for row in scores]
 

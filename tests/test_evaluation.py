@@ -14,6 +14,7 @@ from motifembed.evaluation import (
     LAMBDA_GRID,
     SELECTION_FRACTION,
     EvalConfig,
+    LogRegDesign,
     SeedOutcome,
     auc,
     auc_pairwise,
@@ -293,17 +294,32 @@ def test_fit_logreg_validates_labels():
         fit_logreg(x, np.ones(4), 0.1)
 
 
+def test_fit_logreg_validates_shapes():
+    x, y = logistic_draw(n=10)
+    with pytest.raises(ValueError, match="labels must be 1-D with one entry per row"):
+        fit_logreg(x, y[:8], 0.1)
+    with pytest.raises(ValueError, match="labels must be 1-D with one entry per row"):
+        fit_logreg(x, y[:, None], 0.1)
+    with pytest.raises(ValueError, match="labels must be 1-D with one entry per row"):
+        fit_logreg(LogRegDesign.of(x), y[:8], 0.1)
+    with pytest.raises(ValueError, match="features must be 2-D"):
+        fit_logreg(x[:, 0], y, 0.1)
+
+
 def test_fit_logreg_on_a_design_with_its_bias_column_equals_the_plain_fit():
     x, y = logistic_draw(n=120)
-    design = np.hstack([x, np.ones((len(x), 1))])
+    design = LogRegDesign(np.hstack([x, np.ones((len(x), 1))]))
+    assert design.rows.tobytes() == LogRegDesign.of(x).rows.tobytes()
     plain = fit_logreg(x, y, 1e-2)
-    prebuilt = fit_logreg(design, y, 1e-2, has_bias_column=True)
+    prebuilt = fit_logreg(design, y, 1e-2)
     assert plain.weights.tobytes() == prebuilt.weights.tobytes()
-    assert (plain.bias, plain.iterations) == (prebuilt.bias, prebuilt.iterations)
+    assert (plain.bias, plain.iterations, plain.converged) == (
+        prebuilt.bias, prebuilt.iterations, prebuilt.converged
+    )
     with pytest.raises(ValueError, match="0/1"):
-        fit_logreg(design, np.full(120, 2.0), 1e-2, has_bias_column=True)
+        fit_logreg(design, np.full(120, 2.0), 1e-2)
     with pytest.raises(ValueError, match="reg"):
-        fit_logreg(design, y, 0.0, has_bias_column=True)
+        fit_logreg(design, y, 0.0)
 
 
 def test_fit_logreg_converges_on_scaled_features():
@@ -355,6 +371,40 @@ def test_fit_logreg_reaches_the_optimum_at_every_lambda(case):
             method="L-BFGS-B", options={"gtol": 1e-10, "ftol": 0.0, "maxiter": 100_000},
         )
         assert obj <= reference.fun + 1e-9
+
+
+@pytest.mark.parametrize("case", [separable_toy, wide_degenerate, logistic_draw])
+def test_fits_along_the_grid_on_one_design_equal_fresh_fits(case):
+    x, y = case()
+    keep = np.arange(y.size) % 7 != 3  # fits on a row subset, as a fold takes it
+    design = LogRegDesign(LogRegDesign.of(x).rows[keep])
+    for reg in LAMBDA_GRID:
+        shared = fit_logreg(design, y[keep], reg)
+        fresh = fit_logreg(x[keep], y[keep], reg)
+        assert shared.weights.tobytes() == fresh.weights.tobytes()
+        assert (shared.bias, shared.iterations, shared.converged) == (
+            fresh.bias, fresh.iterations, fresh.converged
+        )
+
+
+def test_the_start_hessian_is_formed_once_per_design(monkeypatch):
+    starts = []
+    original = evaluation._weighted_gram
+
+    def recording(rows, prob):
+        if np.all(prob == 0.5):  # p = 1/2 only at the Newton start, coef = 0
+            starts.append(rows.shape)
+        return original(rows, prob)
+
+    monkeypatch.setattr(evaluation, "_weighted_gram", recording)
+    x, y = logistic_draw(n=200)
+    design = LogRegDesign.of(x)
+    for reg in LAMBDA_GRID:
+        fit_logreg(design, y, reg)
+    assert starts == [(200, 11)]
+    for reg in LAMBDA_GRID:
+        fit_logreg(x, y, reg)
+    assert len(starts) == 1 + len(LAMBDA_GRID)
 
 
 def test_fit_logreg_warns_at_its_iteration_cap(caplog, monkeypatch):

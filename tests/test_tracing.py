@@ -3,8 +3,20 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import motifembed.pipeline as pipeline
-from motifembed.evaluation import EvalConfig, run_experiment
+from motifembed.evaluation import (
+    FOLDS,
+    LAMBDA_GRID,
+    SELECTION_FRACTION,
+    EvalConfig,
+    _labeled_pairs,
+    _selection_subsample,
+    _stratified_folds,
+    make_split,
+    run_experiment,
+)
 from motifembed.generators import cycle_graph, erdos_renyi
 from motifembed.matrices import MotifMatrixKind
 
@@ -69,3 +81,31 @@ def test_tracer_sees_the_protocol_count_once_and_embed_per_step():
     assert metrics["matrices.build_calls"] == 13
     assert metrics["pipeline.local_s"] > 0
     assert len(tracer.embeddings) == 3
+
+
+def test_tracer_records_one_logreg_span_per_fit():
+    # selection fits every (step, lambda) on each fold of the subsample, then
+    # the final CV fits the chosen lambda on each fold of all labeled pairs
+    spans = load_spans()
+    g = erdos_renyi(40, 0.2, seed=13)
+    cfg = EvalConfig(
+        pipeline=pipeline.PipelineConfig(local_rank=4, global_rank=12),
+        step_grid=(1, 2),
+        n_seeds=1,
+    )
+    _, labels = _labeled_pairs(make_split(g, cfg.base_seed))
+    # the subsample's class sizes, and so its fold count, do not depend on the draw
+    sub = _selection_subsample(labels, SELECTION_FRACTION, np.random.default_rng(0))
+
+    def fold_count(y):
+        return len(_stratified_folds(y, FOLDS, np.random.default_rng(0)))
+
+    fits = len(cfg.step_grid) * len(LAMBDA_GRID) * fold_count(labels[sub]) + fold_count(labels)
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        run_experiment(g, cfg)
+    metrics = spans.layer_metrics(tracer)
+    assert sum(name == "evaluation.fit_logreg" for name, *_ in tracer.spans) == fits
+    assert metrics["evaluation.logreg_fits"] == fits
+    assert metrics["evaluation.logreg_s"] > 0
+    assert metrics["evaluation.logreg_iters"] >= metrics["evaluation.logreg_fits"]
