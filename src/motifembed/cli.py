@@ -462,7 +462,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_input_flags(p)
     _add_pipeline_flags(p)
     _add_workers_flag(p)
-    p.add_argument("--y-out", help="also write the concatenated pre-fusion matrix here")
+    p.add_argument("--y-out", help="also write the fused matrix here: the concatenated local blocks "
+                   "(for kind w, the 1-step blocks scaled by sqrt(k)) and any diffused attributes")
     p.set_defaults(func=cmd_embed)
 
     p = subs.add_parser("linkpred", help="link-prediction experiment report (TSV)")

@@ -332,6 +332,14 @@ class EvalConfig:
     n_seeds: int = 10
     base_seed: int = 0
 
+    def __post_init__(self):
+        if not self.step_grid or min(self.step_grid) < 1:
+            raise ValueError("step_grid must be nonempty, with every step count >= 1")
+        if self.n_seeds < 1:
+            raise ValueError("n_seeds must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")
+
 
 @dataclass(frozen=True)
 class SeedOutcome:

@@ -61,6 +61,8 @@ class FactorizeConfig:
             raise ValueError("oversample must be >= 0")
         if self.power_iters < 0:
             raise ValueError("power_iters must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,19 @@
 
 For every (step k, orbit t) pair: threshold the orbit's counts into a weight
 matrix, wrap the implicit k-step operator for the configured matrix kind,
-factorize it at the local rank, and column-normalize the left factors (for
-the raw weights, kind w, only k=1 is factorized: W^k has the singular
-vectors of W, and step k's block is step 1's with column signs). Each
+factorize it at the local rank, and column-normalize the left factors. Each
 block is written into its own columns of one local-block matrix, in k-major
 order (all orbits for k=1, then k=2, ...), so the blocks of the first s steps
 are a column prefix. That prefix, optionally followed by diffused node
 features, is factorized once more at the global rank, by the exact minimizer
 of the regularized fusion objective. Rows of the global left factor are the
 node embeddings.
+
+The raw weights, kind w, keep one block set B: the k=1 blocks. W is
+symmetric, so W^k = VΛ^kVᵀ has the singular vectors of W, and the block of
+step k would be B with column signs. K such copies have the Gram matrix
+K·BBᵀ, so K steps of w fuse √K·B, which has the same node factors (up to
+column sign), singular values and fusion optimum.
 """
 
 from __future__ import annotations
@@ -87,6 +91,10 @@ class PipelineConfig:
             raise ValueError(f"orbits must be a nonempty subset of 1..{NUM_ORBITS}")
         if len(set(self.orbits)) != len(self.orbits):
             raise ValueError("orbits must not repeat")
+        if self.delta < 1:
+            raise ValueError("delta must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 class Block(NamedTuple):
@@ -140,6 +148,12 @@ def orbit_weights(
     return {orbit: build_motif_weight_matrix(g, counts, orbit, cfg.delta) for orbit in cfg.orbits}
 
 
+def _block_steps(cfg: PipelineConfig) -> int:
+    """How many steps get blocks of their own: all of them, but only k=1
+    for kind w, whose K steps fuse the one block set (see the module)."""
+    return 1 if cfg.kind is MotifMatrixKind.WEIGHTED_GRAPH else cfg.max_steps
+
+
 def local_embeddings(
     g: Graph, weights: dict[int, MotifWeightedGraph], cfg: PipelineConfig
 ) -> ConcatenatedEmbeddings:
@@ -148,30 +162,22 @@ def local_embeddings(
     The matrix is Fortran-ordered and starts at zero; each block's
     column-normalized factor is written into its own ``cfg.local_rank``
     columns, k-major: every orbit at k=1, then every orbit at k=2, and so
-    on. Orbits whose weight matrix is empty at the configured delta keep
-    all-zero blocks, and a rank shortfall leaves the trailing columns of a
-    block zero, so the layout never varies.
-
-    Every block is a randomized factorization of its k-step matrix, except
-    for kind w past k=1. W is symmetric, so W^k = VΛ^kVᵀ has the singular
-    vectors of W in the same order, and each orbit is factorized once, at
-    k=1: the block at step k is that block with column i times
-    sgn(λᵢ)^(k−1), the sign rule of :func:`randomized_low_rank` applied to
-    W^k. A block still depends only on (seed, k, orbit).
+    on up to ``cfg.max_steps``, except for kind w, which has only the k=1
+    blocks at every step count. Orbits whose weight matrix is empty at the
+    configured delta keep all-zero blocks, and a rank shortfall leaves the
+    trailing columns of a block zero, so the layout never varies. Each
+    block is a randomized factorization of its k-step matrix and depends
+    only on (seed, k, orbit).
     """
     r = cfg.local_rank
-    pairs = list(product(range(1, cfg.max_steps + 1), cfg.orbits))
+    pairs = list(product(range(1, _block_steps(cfg) + 1), cfg.orbits))
     matrix = np.zeros((g.num_nodes, len(pairs) * r), order="F")
     blocks = []
-    first_step = {}  # kind w: orbit -> (columns, column signs) of its k=1 block
     for i, (k, orbit) in enumerate(pairs):
         columns = slice(i * r, (i + 1) * r)
         wg = weights[orbit]
         if wg.is_empty:
             log.info("orbit %d has no edges at delta=%d; zero block", orbit, cfg.delta)
-        elif orbit in first_step:
-            first, sign = first_step[orbit]
-            matrix[:, columns] = matrix[:, first] * sign ** (k - 1)
         else:
             op = KStepOperator(wg, cfg.kind, k)
             fac_cfg = FactorizeConfig(
@@ -180,12 +186,7 @@ def local_embeddings(
                 power_iters=POWER_ITERS,
                 seed=_block_seed(cfg.seed, k, orbit),
             )
-            factors = randomized_low_rank(op, fac_cfg)
-            matrix[:, columns] = normalize_columns(factors.U)
-            if cfg.kind is MotifMatrixKind.WEIGHTED_GRAPH:
-                # sgn(λᵢ) is the sign of uᵢ·vᵢ; a zero component counts as +1
-                paired = np.einsum("ij,ji->j", factors.U, factors.V)
-                first_step[orbit] = (columns, np.where(paired < 0, -1.0, 1.0))
+            matrix[:, columns] = normalize_columns(randomized_low_rank(op, fac_cfg).U)
         blocks.append(Block(k, orbit, columns, wg.is_empty))
     matrix.flags.writeable = False
     return ConcatenatedEmbeddings(matrix, tuple(blocks))
@@ -255,7 +256,11 @@ def diffuse_attributes(
 @dataclass(frozen=True)
 class PipelineResult:
     embedding: GlobalEmbedding
-    concatenated: ConcatenatedEmbeddings
+    concatenated: ConcatenatedEmbeddings  # the matrix that was fused
+    # the unscaled local blocks of this run's steps, which a later run can
+    # borrow as its prior: a read-only view of the fused matrix's prefix,
+    # except for kind w at max_steps >= 2, which fuses them scaled
+    local: ConcatenatedEmbeddings
     counts: EdgeOrbitCounts
     config: PipelineConfig
     # wall seconds per stage: count (0 with a prior), diffuse (0 without
@@ -266,31 +271,50 @@ class PipelineResult:
 
 def _fusion_input(
     local: ConcatenatedEmbeddings, cfg: PipelineConfig, attributes: np.ndarray | None
-) -> ConcatenatedEmbeddings:
-    """The first cfg.max_steps × len(cfg.orbits) blocks of a local set built
-    at a step count of at least cfg.max_steps (those for k <= cfg.max_steps,
-    a column prefix), followed by the attributes when given (copied with the
-    prefix into a fresh matrix)."""
-    blocks = local.blocks[: cfg.max_steps * len(cfg.orbits)]
+) -> tuple[ConcatenatedEmbeddings, ConcatenatedEmbeddings]:
+    """The fusion input of ``cfg``, and the local blocks of its steps, from
+    a local set built at a step count of at least cfg.max_steps.
+
+    Those blocks are a column prefix of the local set: its first
+    cfg.max_steps × len(cfg.orbits) blocks, or for kind w its k=1 blocks B.
+    The fusion input is that prefix, scaled to √K·B for kind w at
+    K = cfg.max_steps >= 2, followed by the attributes when given. When
+    neither applies it is a view of the local set; otherwise it is a fresh
+    read-only matrix, and the returned blocks are a view of its prefix
+    unless that prefix is scaled.
+    """
+    steps = _block_steps(cfg)
+    blocks = local.blocks[: steps * len(cfg.orbits)]
     width = blocks[-1].columns.stop
-    if attributes is None:
-        return ConcatenatedEmbeddings(local.matrix[:, :width], blocks)
-    matrix = np.empty((len(attributes), width + attributes.shape[1]), order="F")
-    matrix[:, :width] = local.matrix[:, :width]
-    matrix[:, width:] = attributes
-    return ConcatenatedEmbeddings(matrix, (*blocks, Block(None, None, slice(width, matrix.shape[1]))))
+    prefix = local.matrix[:, :width]
+    scale = np.sqrt(cfg.max_steps) if steps < cfg.max_steps else 1.0
+    if attributes is None and scale == 1.0:
+        own = ConcatenatedEmbeddings(prefix, blocks)
+        return own, own
+    fused_blocks = blocks
+    if attributes is not None:
+        fused_blocks = (*blocks, Block(None, None, slice(width, width + attributes.shape[1])))
+    matrix = np.empty((len(prefix), fused_blocks[-1].columns.stop), order="F")
+    np.multiply(prefix, scale, out=matrix[:, :width])
+    if attributes is not None:
+        matrix[:, width:] = attributes
+    matrix.flags.writeable = False
+    own = prefix if scale != 1.0 else matrix[:, :width]
+    return ConcatenatedEmbeddings(matrix, fused_blocks), ConcatenatedEmbeddings(own, blocks)
 
 
 def embed_graph(g: Graph, cfg: PipelineConfig, prior: PipelineResult | None = None) -> PipelineResult:
     """Run the whole pipeline: counts, diffusion, local blocks, global factors.
 
     ``prior``, an earlier result on ``g``, lends this run its orbit counts
-    and local blocks. Block seeds depend only on (seed, k, orbit), so a prior
-    run at a step count of at least ``cfg.max_steps``, its config otherwise
-    differing at most in global rank, diffusion and fusion options, holds
-    this run's blocks as a column prefix, and the result equals a run from
-    scratch; any other prior raises ValueError. Without diffusion the
-    result's matrix is a view of that prefix.
+    and, through ``prior.local``, its local blocks. Block seeds depend only
+    on (seed, k, orbit), so a prior run at a step count of at least
+    ``cfg.max_steps``, its config otherwise differing at most in global
+    rank, diffusion and fusion options, holds this run's blocks as a column
+    prefix (for kind w, the same k=1 blocks at every step count), and the
+    result equals a run from scratch; any other prior raises ValueError.
+    Without diffusion, and unless kind w scales them, the fused matrix is a
+    view of those blocks.
     """
     if prior is not None:
         shared = replace(prior.config, max_steps=cfg.max_steps, global_rank=cfg.global_rank,
@@ -322,10 +346,12 @@ def embed_graph(g: Graph, cfg: PipelineConfig, prior: PipelineResult | None = No
     if prior is None:
         local = local_embeddings(g, weights or orbit_weights(g, counts, cfg), cfg)
     else:
-        local = prior.concatenated
-    conc = _fusion_input(local, cfg, attributes)
-    del local, attributes  # conc holds all that the global step reads
+        local = prior.local
+    # local now holds only this run's blocks, as a view of conc where it can
+    conc, local = _fusion_input(local, cfg, attributes)
+    del attributes
     lap("local")
     emb = global_embedding(conc, cfg.global_rank, ccd=cfg.ccd)
     lap("global")
-    return PipelineResult(embedding=emb, concatenated=conc, counts=counts, config=cfg, seconds=seconds)
+    return PipelineResult(embedding=emb, concatenated=conc, local=local, counts=counts, config=cfg,
+                          seconds=seconds)

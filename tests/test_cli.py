@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import io
 import os
 import subprocess
 import sys
@@ -10,6 +11,9 @@ import pytest
 from motifembed import cli, pipeline
 from motifembed.cli import _write_vector_tsv, bench_scaling, main, read_config_file
 from motifembed.generators import erdos_renyi
+from motifembed.graph import load_edge_list
+from motifembed.matrices import MotifMatrixKind
+from motifembed.orbits import count_edge_orbits, node_motif_features
 
 
 @pytest.fixture
@@ -213,11 +217,44 @@ class TestEmbed:
         # 13 orbits x 1 step x rank 2 columns
         assert len(y_body[0].split("\t")) == 1 + 26
 
+    def test_y_out_of_kind_w_holds_one_block_per_orbit_at_every_step_count(self, ring_graph, tmp_path):
+        y_out = tmp_path / "y.tsv"
+        code, _ = run_cli(["embed", "--input", str(ring_graph), "--dl", "2", "--d", "8", "--k", "3",
+                           "--out", str(tmp_path / "z.tsv"), "--y-out", str(y_out)])
+        assert code == 0
+        rows = np.array([ln.split("\t") for ln in read_body(y_out)], dtype=float)
+        # 13 orbits x rank 2: the one-step blocks, fused at sqrt(3)
+        assert rows.shape == (30, 1 + 26)
+        g = load_edge_list(str(ring_graph))
+        cfg = pipeline.PipelineConfig(max_steps=3, local_rank=2, global_rank=8)
+        local = pipeline.local_embeddings(g, pipeline.orbit_weights(g, count_edge_orbits(g), cfg), cfg)
+        np.testing.assert_array_equal(rows[:, 1:], np.sqrt(3.0) * local.matrix)
+
+    def test_y_out_of_lnorm_with_diffusion_holds_every_step_and_the_attributes(self, ring_graph, tmp_path):
+        y_out = tmp_path / "y.tsv"
+        code, _ = run_cli(["embed", "--input", str(ring_graph), "--kind", "lnorm", "--diffusion", "linear",
+                           "--dl", "2", "--d", "8", "--k", "3", "--out", str(tmp_path / "z.tsv"),
+                           "--y-out", str(y_out)])
+        assert code == 0
+        # 3 steps x 13 orbits x rank 2 local columns, then 13 orbits x 52 diffused features
+        g = load_edge_list(str(ring_graph))
+        cfg = pipeline.PipelineConfig(max_steps=3, local_rank=2, global_rank=8, kind=MotifMatrixKind("lnorm"),
+                                      diffusion=pipeline.DiffusionConfig(pipeline.DiffusionVariant.LINEAR))
+        counts = count_edge_orbits(g)
+        weights = pipeline.orbit_weights(g, counts, cfg)
+        expected = np.hstack([
+            pipeline.local_embeddings(g, weights, cfg).matrix,
+            pipeline.diffuse_attributes(g, weights, node_motif_features(g, counts), cfg),
+        ])
+        assert expected.shape == (30, 3 * 13 * 2 + 13 * 52)
+        text = io.StringIO()
+        _write_vector_tsv(text, g.labels, expected)
+        assert read_body(y_out) == text.getvalue().splitlines()
+
     def test_writes_d_values_when_the_blocks_are_narrower(self, tmp_path):
-        # 60 nodes at --dl 4 and the default --k 2 of kind w: the 13 one-step
-        # blocks have rank 52, and each k=2 block is its one-step block with
-        # column signs, so the fusion pads its 128 columns with zeros from
-        # column 52 on
+        # 60 nodes at --dl 4 and the default --k 2 of kind w: both steps fuse
+        # the 13 one-step blocks, of rank 52, so the fusion pads its 128
+        # columns with zeros from column 52 on
         g = erdos_renyi(60, 0.15, seed=4)
         path = tmp_path / "gnp.edges"
         path.write_text("".join(f"{u} {v}\n" for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist())))

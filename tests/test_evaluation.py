@@ -485,6 +485,19 @@ def test_evaluate_one_seed_deterministic_and_in_range():
     assert a.chosen_lambda in LAMBDA_GRID
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"n_seeds": 0}, "n_seeds must be >= 1"),
+    ({"step_grid": ()}, "step_grid must be nonempty, with every step count >= 1"),
+    ({"step_grid": (0, 1)}, "step_grid must be nonempty, with every step count >= 1"),
+    ({"step_grid": (2, -1)}, "step_grid must be nonempty, with every step count >= 1"),
+    ({"base_seed": -1}, "base_seed must be >= 0"),
+])
+def test_eval_config_rejects_bad_values_at_construction(fields, message):
+    with pytest.raises(ValueError) as raised:
+        EvalConfig(**{"pipeline": TINY_PIPELINE, "step_grid": (1, 2), **fields})
+    assert str(raised.value) == message
+
+
 def test_run_experiment_report_shape_and_determinism():
     g = erdos_renyi(35, 0.2, seed=17)
     cfg = EvalConfig(pipeline=TINY_PIPELINE, step_grid=(1,), n_seeds=3, base_seed=2)

@@ -266,6 +266,8 @@ def test_config_validation():
         FactorizeConfig(rank=0)
     with pytest.raises(ValueError):
         FactorizeConfig(rank=2, oversample=-1)
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        FactorizeConfig(seed=-1)
     with pytest.raises(ValueError):
         CcdOptions(reg=-1.0)
     with pytest.raises(ValueError):

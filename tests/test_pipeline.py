@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from motifembed.factorize import CcdOptions, FactorizeConfig, normalize_columns, randomized_low_rank
-from motifembed.generators import complete_graph, cycle_graph, erdos_renyi
+from motifembed.generators import complete_graph, erdos_renyi
 from motifembed.graph import Graph
 from motifembed.matrices import MotifMatrixKind, build_motif_weight_matrix
 from motifembed.operators import KStepOperator, dense_kstep
@@ -52,7 +52,7 @@ def spectrum_matrix(rows=25, cols=18, rank=12, seed=5):
 
 def test_block_layout_is_k_major_and_full_width():
     g = erdos_renyi(30, 0.3, seed=1)
-    cfg = PipelineConfig(max_steps=2, local_rank=16)
+    cfg = PipelineConfig(max_steps=2, local_rank=16, kind=MotifMatrixKind.NORMALIZED_LAPLACIAN)
     counts = count_edge_orbits(g)
     local = local_of(g, counts, cfg)
     assert local.matrix.shape == (30, 13 * 2 * 16)
@@ -60,6 +60,12 @@ def test_block_layout_is_k_major_and_full_width():
     expected_order = [(k, t) for k in (1, 2) for t in range(1, NUM_ORBITS + 1)]
     assert [(b.k, b.orbit) for b in local] == expected_order
     assert [b.columns for b in local] == [slice(16 * i, 16 * (i + 1)) for i in range(26)]
+    # kind w has the one-step blocks only, at every step count
+    local = local_of(g, counts, replace(cfg, kind=MotifMatrixKind.WEIGHTED_GRAPH))
+    assert local.matrix.shape == (30, 13 * 16)
+    assert local.matrix.flags.f_contiguous and not local.matrix.flags.writeable
+    assert [(b.k, b.orbit) for b in local] == [(1, t) for t in range(1, NUM_ORBITS + 1)]
+    assert [b.columns for b in local] == [slice(16 * i, 16 * (i + 1)) for i in range(13)]
 
 
 def test_attributes_appended_last():
@@ -67,11 +73,12 @@ def test_attributes_appended_last():
     cfg = PipelineConfig(max_steps=2, local_rank=16, diffusion=DiffusionConfig(DiffusionVariant.LINEAR))
     counts = count_edge_orbits(g)
     y = embed_graph(g, cfg).concatenated
-    assert y.matrix.shape[1] == 416 + 13 * 52
-    assert y.blocks[-1] == Block(None, None, slice(416, 416 + 13 * 52))
-    np.testing.assert_array_equal(y.matrix[:, :416], local_of(g, counts, cfg).matrix)
+    # kind w fuses its 13 one-step blocks scaled by sqrt(max_steps)
+    assert y.matrix.shape[1] == 208 + 13 * 52
+    assert y.blocks[-1] == Block(None, None, slice(208, 208 + 13 * 52))
+    np.testing.assert_array_equal(y.matrix[:, :208], np.sqrt(2.0) * local_of(g, counts, cfg).matrix)
     attrs = diffused(g, counts, node_motif_features(g, counts), cfg)
-    np.testing.assert_array_equal(y.matrix[:, 416:], attrs)
+    np.testing.assert_array_equal(y.matrix[:, 208:], attrs)
 
 
 def test_empty_orbits_give_flagged_zero_blocks_of_full_width():
@@ -100,55 +107,48 @@ def test_small_graph_blocks_equal_hand_clamped_factorizations(n, local_rank):
     weights = orbit_weights(g, count_edge_orbits(g), cfg)
     rank = min(local_rank, n)
     fac = dict(rank=rank, oversample=min(pipeline.OVERSAMPLE, n - rank), power_iters=pipeline.POWER_ITERS)
-    expected = np.zeros((n, 26 * local_rank))
+    # kind w: the one-step blocks only, at max_steps=2 too
+    expected = np.zeros((n, 13 * local_rank))
     for i, orbit in enumerate(range(1, NUM_ORBITS + 1)):
         if not weights[orbit].is_empty:
             op = KStepOperator(weights[orbit], cfg.kind, 1)
             factors = randomized_low_rank(op, FactorizeConfig(seed=_block_seed(7, 1, orbit), **fac))
-            block = normalize_columns(factors.U)
-            # kind w: the k=2 block is the k=1 block with column signs sgn(uᵢ·vᵢ)
-            signs = np.where(np.sum(factors.U * factors.V.T, axis=0) < 0, -1.0, 1.0)
-            expected[:, i * local_rank : i * local_rank + rank] = block
-            expected[:, (NUM_ORBITS + i) * local_rank : (NUM_ORBITS + i) * local_rank + rank] = block * signs
+            expected[:, i * local_rank : i * local_rank + rank] = normalize_columns(factors.U)
     np.testing.assert_array_equal(local_embeddings(g, weights, cfg).matrix, expected)
 
 
-def derived_and_direct_blocks(g, orbits, steps, local_rank, seed, monkeypatch):
-    """Each nonzero block past k=1 of kind w, and the exact-range factorization
-    of its own k-step matrix at that block's seed: the draw spans every column."""
-    monkeypatch.setattr(pipeline, "OVERSAMPLE", g.num_nodes)
-    cfg = PipelineConfig(orbits=orbits, max_steps=steps, local_rank=local_rank, seed=seed)
-    weights = orbit_weights(g, count_edge_orbits(g), cfg)
-    local = local_embeddings(g, weights, cfg)
-    fac = dict(rank=local_rank, oversample=g.num_nodes, power_iters=pipeline.POWER_ITERS)
-    pairs = []
-    for b in local:
-        if b.k > 1 and not b.is_zero:
-            op = KStepOperator(weights[b.orbit], cfg.kind, b.k)
-            u = randomized_low_rank(op, FactorizeConfig(seed=_block_seed(seed, b.k, b.orbit), **fac)).U
-            pairs.append((local.matrix[:, b.columns], normalize_columns(u)))
-    return pairs
+def aligned_to(actual, expected):
+    """``actual`` with each column's sign flipped to best match ``expected``."""
+    return actual * np.where(np.sum(actual * expected, axis=0) < 0, -1.0, 1.0)
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_kind_w_blocks_past_one_step_equal_their_exact_factorizations(monkeypatch, seed):
-    g = erdos_renyi(80, 0.1, seed=seed)
-    pairs = derived_and_direct_blocks(g, (1, 3, 7), 3, 16, seed, monkeypatch)
-    assert len(pairs) == 6
-    for derived, direct in pairs:
-        np.testing.assert_allclose(derived, direct, rtol=0, atol=1e-10)
-
-
-def test_kind_w_blocks_on_a_bipartite_graph_span_their_exact_subspaces(monkeypatch):
-    # every orbit of an even ring weights like its adjacency, whose spectrum is
-    # ±2cos(2πj/20) with |λ| repeated 2, 4, 4, ... times; rank 10 ends at a gap,
-    # but inside each tie (±λ included) the basis is arbitrary: compare subspaces
-    pairs = derived_and_direct_blocks(cycle_graph(20), (1, 2, 4, 5), 3, 10, 3, monkeypatch)
-    assert len(pairs) == 8
-    for derived, direct in pairs:
-        assert np.allclose(derived.T @ derived, np.eye(10), atol=1e-10)
-        off_span = direct - derived @ (derived.T @ direct)
-        assert np.linalg.norm(off_span, 2) <= 1e-10
+@pytest.mark.parametrize("steps", [2, 3, 4])
+@pytest.mark.parametrize("diffusion", [None, DiffusionConfig(DiffusionVariant.LINEAR)])
+def test_kind_w_fusion_equals_fusing_sign_flipped_copies(steps, diffusion):
+    # the K steps of w are the one-step blocks B with column i times
+    # sgn(λᵢ)^(k−1); fusing those K copies by hand is the oracle for √K·B
+    g = erdos_renyi(60, 0.15, seed=steps)
+    cfg = PipelineConfig(orbits=(1, 2, 4), max_steps=steps, local_rank=6, global_rank=8,
+                         diffusion=diffusion, seed=3)
+    res = embed_graph(g, cfg)
+    counts = count_edge_orbits(g)
+    weights = orbit_weights(g, counts, cfg)
+    b = res.local.matrix
+    signs = np.ones(b.shape[1])
+    for block in res.local:
+        # the Rayleigh quotient of each unit column has the sign of its eigenvalue
+        u = b[:, block.columns]
+        quotient = np.sum(u * (dense_kstep(weights[block.orbit], cfg.kind, 1) @ u), axis=0)
+        signs[block.columns] = np.where(quotient < 0, -1.0, 1.0)
+    assert (signs < 0).any() and (signs > 0).any()
+    copies = [b * signs ** (k - 1) for k in range(1, steps + 1)]
+    if diffusion is not None:
+        copies.append(diffused(g, counts, node_motif_features(g, counts), cfg))
+    oracle = global_embedding(wrap(np.hstack(copies)), cfg.global_rank, ccd=cfg.ccd)
+    nodes = res.embedding.nodes
+    assert nodes[:, -1].any()
+    np.testing.assert_allclose(aligned_to(nodes, oracle.nodes), oracle.nodes, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(res.embedding.objective_path, oracle.objective_path, rtol=1e-12)
 
 
 @pytest.mark.parametrize("kind", [k for k in MotifMatrixKind if k is not MotifMatrixKind.WEIGHTED_GRAPH])
@@ -340,7 +340,8 @@ def test_embed_graph_is_deterministic():
 
 def test_embed_graph_takes_the_step_prefix_of_given_blocks():
     g = erdos_renyi(30, 0.2, seed=4)
-    cfg = PipelineConfig(orbits=(1, 3), max_steps=2, local_rank=3, global_rank=6, seed=9)
+    cfg = PipelineConfig(orbits=(1, 3), max_steps=2, local_rank=3, global_rank=6,
+                         kind=MotifMatrixKind.NORMALIZED_LAPLACIAN, seed=9)
     prior = embed_graph(g, replace(cfg, max_steps=3))
     shared = embed_graph(g, cfg, prior=prior)
     fresh = embed_graph(g, cfg)
@@ -348,7 +349,7 @@ def test_embed_graph_takes_the_step_prefix_of_given_blocks():
     assert shared.concatenated.blocks == fresh.concatenated.blocks
     assert shared.counts is prior.counts
     # without diffusion the prefix is a view of the prior's blocks, not a copy
-    assert np.shares_memory(shared.concatenated.matrix, prior.concatenated.matrix)
+    assert np.shares_memory(shared.concatenated.matrix, prior.local.matrix)
     assert shared.concatenated.matrix.shape == (30, 12)
 
 
@@ -359,8 +360,42 @@ def test_kind_w_runs_lent_a_four_step_prior_equal_fresh_runs(steps):
     prior = embed_graph(g, replace(cfg, max_steps=4))
     shared = embed_graph(g, cfg, prior=prior)
     fresh = embed_graph(g, cfg)
+    assert shared.local.matrix.tobytes() == fresh.local.matrix.tobytes()
     assert shared.concatenated.matrix.tobytes() == fresh.concatenated.matrix.tobytes()
     assert shared.embedding.nodes.tobytes() == fresh.embedding.nodes.tobytes()
+    # every step count of w borrows the prior's one block set itself
+    assert np.shares_memory(shared.local.matrix, prior.local.matrix)
+
+
+@pytest.mark.parametrize("kind, steps, diffusion", [
+    (MotifMatrixKind.NORMALIZED_LAPLACIAN, 2, None),
+    (MotifMatrixKind.NORMALIZED_LAPLACIAN, 2, DiffusionConfig(DiffusionVariant.LINEAR)),
+    (MotifMatrixKind.WEIGHTED_GRAPH, 1, None),
+    (MotifMatrixKind.WEIGHTED_GRAPH, 1, DiffusionConfig(DiffusionVariant.LINEAR)),
+])
+def test_result_local_is_a_read_only_view_of_the_fused_prefix(kind, steps, diffusion):
+    g = erdos_renyi(30, 0.2, seed=6)
+    cfg = PipelineConfig(orbits=(1, 2, 3), max_steps=steps, local_rank=4, global_rank=8,
+                         kind=kind, diffusion=diffusion)
+    res = embed_graph(g, cfg)
+    local, y = res.local, res.concatenated
+    width = 3 * steps * 4
+    assert local.matrix.shape == (30, width) and not local.matrix.flags.writeable
+    assert np.shares_memory(local.matrix, y.matrix)
+    assert local.matrix.tobytes() == y.matrix[:, :width].tobytes()
+    assert local.blocks == y.blocks[: 3 * steps]
+    assert local.matrix.tobytes() == local_of(g, count_edge_orbits(g), cfg).matrix.tobytes()
+
+
+@pytest.mark.parametrize("steps", [2, 3, 4])
+def test_kind_w_past_one_step_fuses_its_local_blocks_scaled_by_root_steps(steps):
+    g = erdos_renyi(30, 0.2, seed=6)
+    cfg = PipelineConfig(orbits=(1, 2, 3), max_steps=steps, local_rank=4, global_rank=8)
+    res = embed_graph(g, cfg)
+    assert res.local.matrix.tobytes() == local_of(g, count_edge_orbits(g), cfg).matrix.tobytes()
+    assert res.concatenated.blocks == res.local.blocks
+    assert res.concatenated.matrix.tobytes() == (np.sqrt(steps) * res.local.matrix).tobytes()
+    assert not res.concatenated.matrix.flags.writeable
 
 
 def test_a_wider_prior_differing_in_fusion_settings_gives_a_fresh_run():
@@ -435,7 +470,8 @@ def test_embed_graph_smoke_shapes_and_objective():
     cfg = PipelineConfig(max_steps=2, local_rank=8, global_rank=32)
     res = embed_graph(g, cfg)
     assert res.embedding.nodes.shape == (40, 32)
-    assert res.embedding.basis.shape == (32, 13 * 2 * 8)
+    # kind w fuses one block per orbit at every step count
+    assert res.embedding.basis.shape == (32, 13 * 8)
     # the default global step is the exact optimum: one value, converged
     y = res.concatenated.matrix
     sing = np.linalg.svd(y, compute_uv=False)
@@ -459,6 +495,10 @@ def test_pipeline_config_validation():
         PipelineConfig(max_steps=0)
     with pytest.raises(ValueError, match="ranks"):
         PipelineConfig(local_rank=0)
+    with pytest.raises(ValueError, match="^delta must be >= 1$"):
+        PipelineConfig(delta=0)
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        PipelineConfig(seed=-1)
 
 
 def test_transition_kind_pipeline_runs():
