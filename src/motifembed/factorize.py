@@ -11,9 +11,6 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh
-from scipy.linalg.lapack import dpotrf, dtrtri
-from scipy.sparse.linalg import aslinearoperator
 
 log = logging.getLogger("motifembed.factorize")
 
@@ -101,19 +98,24 @@ def _orthonormalize(a: np.ndarray, passes: int) -> tuple[np.ndarray, np.ndarray]
     CholeskyQR2 (Fukaya et al. 2014). Falls back to Householder QR when
     Cholesky fails (a rank-deficient panel) or when the second pass's Gram
     matrix is more than ``_MAX_GRAM_DRIFT`` off the identity in some entry.
-    The LAPACK drivers are called directly: on a 26×26 triangle the checks
-    in ``scipy.linalg.cholesky`` and ``solve_triangular`` cost several times
-    the factorization itself.
+    Every call is numpy's, so the Gram product, the panel product and the
+    small factorizations share one BLAS/LAPACK library and its one thread
+    pool (see ``exact_factorize`` for the cost of two pools). Cholesky is
+    LAPACK's ``dpotrf``. ``np.linalg.inv`` of the triangle is an LU without
+    row exchanges (every entry below the diagonal is zero), so it reduces
+    to the back substitution of a triangular inverse; on a 26×26 triangle
+    it takes about 45 µs more than ``dtrtri`` with one BLAS thread.
     """
     q, r = a, None
     for step in range(passes):
         gram = q.T @ q
         if step and np.abs(gram - np.eye(len(gram))).max() > _MAX_GRAM_DRIFT:
             return np.linalg.qr(a)
-        tri, info = dpotrf(gram)
-        if info:
+        try:
+            tri = np.linalg.cholesky(gram, upper=True)
+        except np.linalg.LinAlgError:
             return np.linalg.qr(a)
-        q = q @ dtrtri(tri)[0]
+        q = q @ np.linalg.inv(tri)
         r = tri if r is None else tri @ r
     return q, r
 
@@ -136,9 +138,11 @@ def _at_rank(u: np.ndarray, v: np.ndarray, rank: int) -> tuple[np.ndarray, np.nd
 def randomized_low_rank(operator, cfg: FactorizeConfig) -> LowRankFactors:
     """Randomized subspace iteration at rank ``cfg.rank``.
 
-    ``operator`` may be a dense array, a sparse matrix or a scipy
-    LinearOperator. Draws a Gaussian test block of ``rank + oversample``
-    columns from ``cfg.seed`` and runs ``power_iters`` power iterations,
+    ``operator`` may be a dense array or a sparse matrix, whose products are
+    ``A @ x`` and ``A.T @ x``, or any object with ``shape``, ``matmat`` and
+    ``rmatmat`` (such as :class:`~motifembed.operators.KStepOperator`).
+    Draws a Gaussian test block of ``rank + oversample`` columns from
+    ``cfg.seed`` and runs ``power_iters`` power iterations,
     each panel orthonormalized by one CholeskyQR pass. The range basis q
     and the projected panel b = Aᵀq are orthonormalized by CholeskyQR2;
     any of these falls back to Householder QR when the panel is too
@@ -149,20 +153,23 @@ def randomized_low_rank(operator, cfg: FactorizeConfig) -> LowRankFactors:
     range finder can return; components past it or below the rank
     tolerance are zero, so U and V always have ``cfg.rank`` of them.
     """
-    op = aslinearoperator(operator)
-    n_rows, n_cols = op.shape
+    if sp.issparse(operator) or isinstance(operator, np.ndarray):
+        matmat, rmatmat = operator.__matmul__, operator.T.__matmul__
+    else:
+        matmat, rmatmat = operator.matmat, operator.rmatmat
+    n_rows, n_cols = operator.shape
     draw = min(cfg.rank + cfg.oversample, n_rows, n_cols)
 
     rng = np.random.default_rng(cfg.seed)
     test = rng.standard_normal((n_cols, draw))
-    sample = op.matmat(test)
+    sample = matmat(test)
     for _ in range(cfg.power_iters):
         q, _ = _orthonormalize(sample, passes=1)
-        z, _ = _orthonormalize(op.rmatmat(q), passes=1)
-        sample = op.matmat(z)
+        z, _ = _orthonormalize(rmatmat(q), passes=1)
+        sample = matmat(z)
     q, _ = _orthonormalize(sample, passes=2)
 
-    qb, rb = _orthonormalize(op.rmatmat(q), passes=2)  # Aᵀq = Q_b R_b, n_cols x draw
+    qb, rb = _orthonormalize(rmatmat(q), passes=2)  # Aᵀq = Q_b R_b, n_cols x draw
     ub, sigma, wt = np.linalg.svd(rb.T)
     u = q @ (ub[:, : cfg.rank] * sigma[: cfg.rank])
     v = wt[: cfg.rank] @ qb.T
@@ -187,7 +194,9 @@ def exact_factorize(matrix, cfg: FactorizeConfig) -> LowRankFactors:
     subset only, which LAPACK serves by bisection and inverse iteration
     (dsyevr keeps its faster MRRR path for the whole spectrum). At r = 128
     with one BLAS thread the two tie at size 600 (66 ms), and the subset is
-    ahead from 700 on (87 vs 95 ms; 181 vs 254 ms at 1000). Each component's
+    ahead from 700 on (87 vs 95 ms; 181 vs 254 ms at 1000). Only the subset
+    branch imports ``scipy.linalg``, at its first call, so a run that never
+    takes it loads no more than numpy and ``scipy.sparse``. Each component's
     sign makes the largest-|entry| of its row of V positive. Components
     beyond min(shape) and components thresholded away are zero, so U and V
     always have ``cfg.rank`` columns and rows. The objective and residual
@@ -209,6 +218,11 @@ def exact_factorize(matrix, cfg: FactorizeConfig) -> LowRankFactors:
         lam, vec = np.linalg.eigh(gram)
         lam, vec = lam[size - r:], vec[:, size - r:]
     else:
+        # numpy has no subset eigensolver, so this branch alone pairs numpy's
+        # Gram product with scipy's LAPACK and its thread pool; imported here,
+        # so that runs that never reach it do not load scipy.linalg
+        from scipy.linalg import eigh
+
         # the transpose of the symmetric Gram is itself, Fortran-ordered: no copy
         lam, vec = eigh(gram.T, subset_by_index=(size - r, size - 1), driver="evr",
                         overwrite_a=True, check_finite=False)

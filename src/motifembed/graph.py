@@ -91,6 +91,7 @@ class Graph:
         for arr in (self.edge_u, self.edge_v, self.edge_keys, self.labels, self.slot_edge,
                     adj.data, adj.indices, adj.indptr):
             arr.flags.writeable = False
+        self._fingerprint: str | None = None
 
     @classmethod
     def from_edges(
@@ -145,13 +146,18 @@ class Graph:
             yield int(u), int(v)
 
     def fingerprint(self) -> str:
-        """Stable content hash used to bind derived tables to this graph."""
-        h = hashlib.sha256()
-        h.update(np.int64(self.num_nodes).tobytes())
-        h.update(self.edge_u.tobytes())
-        h.update(self.edge_v.tobytes())
-        h.update(self.labels.tobytes())
-        return h.hexdigest()
+        """Stable content hash used to bind derived tables to this graph.
+
+        Hashed at the first call and kept: the arrays it covers are read-only.
+        """
+        if self._fingerprint is None:
+            h = hashlib.sha256()
+            h.update(np.int64(self.num_nodes).tobytes())
+            h.update(self.edge_u.tobytes())
+            h.update(self.edge_v.tobytes())
+            h.update(self.labels.tobytes())
+            self._fingerprint = h.hexdigest()
+        return self._fingerprint
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -11,17 +11,19 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator
 
 from motifembed.matrices import MotifMatrixKind, MotifWeightedGraph, kind_form
 
 
-class KStepOperator(LinearOperator):
-    """Matrix-free k-step motif operator with matvec and transpose matvec.
+class KStepOperator:
+    """Matrix-free k-step motif operator: products with blocks and vectors,
+    and with its transpose.
 
     It applies :func:`~motifembed.matrices.kind_form` of M = W^k once, or for
     the transition kind that of M = W, k times. W^k is symmetric, so the
-    transpose only swaps the two scalings.
+    transpose only swaps the two scalings. It is a plain object, not a scipy
+    ``LinearOperator``: ``shape``, ``matmat``/``rmatmat`` on N×c blocks and
+    ``matvec``/``rmatvec`` on length-N vectors are all it offers.
     """
 
     def __init__(self, wg: MotifWeightedGraph, kind: MotifMatrixKind, k: int):
@@ -37,10 +39,12 @@ class KStepOperator(LinearOperator):
         for _ in range(self._power):
             deg = self.weights @ deg
         self._c, self._a, self._b = kind_form(deg, kind)
-        super().__init__(dtype=np.float64, shape=self.weights.shape)
+        self.shape: tuple[int, int] = self.weights.shape
 
     def _apply(self, x: np.ndarray, left, right) -> np.ndarray:
         y = np.asarray(x, dtype=np.float64)
+        if y.ndim != 2 or y.shape[0] != self.shape[1]:
+            raise ValueError(f"dimension mismatch: operator {self.shape}, block {y.shape}")
         for _ in range(self._repeats):
             z = y if right is None else right[:, None] * y
             for _ in range(self._power):
@@ -50,15 +54,17 @@ class KStepOperator(LinearOperator):
             y = z if self._c is None else self._c[:, None] * y - z
         return y
 
-    def _matmat(self, x: np.ndarray) -> np.ndarray:
+    def matmat(self, x: np.ndarray) -> np.ndarray:
         return self._apply(x, self._a, self._b)
 
-    def _rmatmat(self, x: np.ndarray) -> np.ndarray:
+    def rmatmat(self, x: np.ndarray) -> np.ndarray:
         return self._apply(x, self._b, self._a)
 
-    def _rmatvec(self, x: np.ndarray) -> np.ndarray:
-        # older scipy releases do not fall back from rmatvec to _rmatmat
-        return self._rmatmat(x.reshape(-1, 1)).ravel()
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return self.matmat(np.reshape(x, (-1, 1))).ravel()
+
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        return self.rmatmat(np.reshape(x, (-1, 1))).ravel()
 
 
 def matvec_kstep(op: KStepOperator, x: np.ndarray) -> np.ndarray:

@@ -667,6 +667,21 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_default_embed_and_linkpred_load_no_scipy_linalg(self, ring_graph, tmp_path):
+        # kind w without diffusion: every rSVD runs on numpy's LAPACK, and the
+        # fusion input is narrower than 4·d, so the subset eigensolver is not used
+        probe = (
+            "import sys; from motifembed import cli; "
+            f"assert cli.main(['embed', '--input', {str(ring_graph)!r}, '--out', {str(tmp_path / 'x.tsv')!r}]) == 0; "
+            f"assert cli.main(['linkpred', '--input', {str(ring_graph)!r}, '--k', '1', '--seeds', '1', "
+            f"'--out', {str(tmp_path / 'r.tsv')!r}]) == 0; "
+            "print([m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules])"
+        )
+        proc = run_python(["-c", probe])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        assert len(read_body(tmp_path / "x.tsv")) == 30 and len(read_body(tmp_path / "r.tsv")) == 3
+
     def test_unknown_diffusion_token(self, triangle, capsys):
         code, _ = run_cli(
             ["embed", "--input", str(triangle), "--diffusion", "sideways"],

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from motifembed import factorize
 from motifembed.factorize import (
@@ -80,6 +81,29 @@ def test_rsvd_operator_input_matches_dense_route():
     from_dense = randomized_low_rank(dense_kstep(wg, MotifMatrixKind.TRANSITION, 2), cfg)
     np.testing.assert_allclose(from_op.U, from_dense.U, atol=1e-9)
     np.testing.assert_allclose(from_op.V, from_dense.V, atol=1e-9)
+
+
+class _ProductsOnly:
+    """An operator that offers nothing but its shape and its two products."""
+
+    def __init__(self, a):
+        self.shape = a.shape
+        self.matmat = a.__matmul__
+        self.rmatmat = a.T.__matmul__
+
+
+def test_rsvd_takes_arrays_sparse_matrices_and_product_objects():
+    # one nonzero per row and per column: every product entry is a single
+    # rounded multiplication, so dense and sparse products agree bit for bit
+    rng = np.random.default_rng(12)
+    rows = rng.permutation(40)[:30]
+    dense = np.zeros((40, 30))
+    dense[rows, np.arange(30)] = rng.standard_normal(30) * np.linspace(1, 10, 30)
+    cfg = FactorizeConfig(rank=6, seed=3)
+    outs = [randomized_low_rank(a, cfg) for a in (dense, sp.csr_matrix(dense), _ProductsOnly(dense))]
+    assert outs[0].achieved_rank == 6
+    for out in outs[1:]:
+        assert out.U.tobytes() == outs[0].U.tobytes() and out.V.tobytes() == outs[0].V.tobytes()
 
 
 def test_rsvd_determinism():

@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -165,6 +166,23 @@ def test_fingerprint_distinguishes_graphs():
     assert a.fingerprint() == b.fingerprint()
     assert a.fingerprint() != c.fingerprint()
     assert a == b and a != c
+
+
+def test_fingerprint_is_hashed_once(monkeypatch):
+    g = erdos_renyi_average_degree(50, 5, seed=3)
+    h = hashlib.sha256()
+    for arr in (np.int64(g.num_nodes), g.edge_u, g.edge_v, g.labels):
+        h.update(arr.tobytes())
+    assert g.fingerprint() == h.hexdigest()
+
+    hashes = []
+    original = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda *a: hashes.append(a) or original(*a))
+    assert g.fingerprint() == h.hexdigest()
+    assert hashes == []
+    # a fresh graph hashes at its own first call
+    assert erdos_renyi_average_degree(50, 5, seed=4).fingerprint() != g.fingerprint()
+    assert len(hashes) == 1
 
 
 @st.composite
