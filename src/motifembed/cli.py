@@ -10,6 +10,7 @@ a subcommand takes one.
 from __future__ import annotations
 
 import argparse
+import io
 import logging
 import os
 import sys
@@ -184,7 +185,14 @@ def open_out(path: str | None, binary: bool = False):
     """The output stream: ``path`` opened once, before the command computes,
     so an unusable path ends the command at once; stdout without a path."""
     if path is None:
-        yield sys.stdout.buffer if binary and hasattr(sys.stdout, "buffer") else sys.stdout
+        if not binary:
+            yield sys.stdout
+        elif hasattr(sys.stdout, "buffer"):
+            yield sys.stdout.buffer
+        else:  # a text-only stdout, such as io.StringIO, gets the bytes as text
+            with io.BytesIO() as buf:
+                yield buf
+                sys.stdout.write(buf.getvalue().decode("utf-8"))
     else:
         with open(path, "wb") if binary else open(path, "w", encoding="utf-8") as fh:
             yield fh

@@ -33,17 +33,12 @@ def _sample_pair_indices(total: int, p: float, rng: np.random.Generator) -> np.n
 
 
 def _triangular_to_pair(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Invert the row-major enumeration of pairs (u, v), u < v < n."""
-    index = index.astype(np.float64)
-    b = 2 * n - 1
-    u = np.floor((b - np.sqrt(b * b - 8.0 * index)) / 2.0).astype(np.int64)
-    # float sqrt can land one row off near boundaries; nudge into range
-    start = lambda r: r * (2 * n - r - 1) // 2
-    idx = index.astype(np.int64)
-    u = np.where(start(u + 1) <= idx, u + 1, u)
-    u = np.where(start(u) > idx, u - 1, u)
-    v = idx - start(u) + u + 1
-    return u, v.astype(np.int64)
+    """Invert the row-major enumeration of pairs (u, v), u < v < n, whose
+    row r starts at index r(2n − r − 1)/2."""
+    rows = np.arange(n - 1, dtype=np.int64)
+    starts = rows * (2 * n - rows - 1) // 2
+    u = np.searchsorted(starts, index, side="right") - 1
+    return u, index - starts[u] + u + 1
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:

@@ -7,7 +7,6 @@ edge list are kept in a side table so output can use them again.
 
 from __future__ import annotations
 
-import hashlib
 import os
 from typing import IO, Iterable, Iterator
 
@@ -91,7 +90,6 @@ class Graph:
         for arr in (self.edge_u, self.edge_v, self.edge_keys, self.labels, self.slot_edge,
                     adj.data, adj.indices, adj.indptr):
             arr.flags.writeable = False
-        self._fingerprint: str | None = None
 
     @classmethod
     def from_edges(
@@ -145,21 +143,11 @@ class Graph:
         for u, v in zip(self.edge_u, self.edge_v):
             yield int(u), int(v)
 
-    def fingerprint(self) -> str:
-        """Stable content hash used to bind derived tables to this graph.
-
-        Hashed at the first call and kept: the arrays it covers are read-only.
-        """
-        if self._fingerprint is None:
-            h = hashlib.sha256()
-            h.update(np.int64(self.num_nodes).tobytes())
-            h.update(self.edge_u.tobytes())
-            h.update(self.edge_v.tobytes())
-            h.update(self.labels.tobytes())
-            self._fingerprint = h.hexdigest()
-        return self._fingerprint
-
     def __eq__(self, other: object) -> bool:
+        """Same nodes, edges and labels: the one test of whether tables
+        derived on one graph belong to another."""
+        if self is other:
+            return True
         if not isinstance(other, Graph):
             return NotImplemented
         return (

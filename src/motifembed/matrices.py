@@ -53,7 +53,7 @@ def build_motif_weight_matrix(
     """Threshold one orbit's per-edge counts into a weight matrix."""
     if delta < 1:
         raise ValueError("delta must be >= 1")
-    if counts.graph_fingerprint != g.fingerprint():
+    if counts.graph != g:
         raise ValueError("orbit counts were computed for a different graph")
     col = counts.orbit_column(orbit)
     # the counts placed on the graph's own pattern, minus the entries

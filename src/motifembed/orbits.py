@@ -81,6 +81,9 @@ PGD (Ahmed, Neville, Rossi, Duffield, ICDM 2015) give
 
 The brute-force oracle enumerates vertex subsets and classifies the
 induced subgraph by its degree sequence.
+
+Counts keep the Graph they were counted on, and every table derived from
+them accepts only a graph equal to it (``Graph.__eq__``).
 """
 
 from __future__ import annotations
@@ -103,10 +106,11 @@ _CHUNK_WEDGES = 1 << 18
 
 @dataclass(frozen=True)
 class EdgeOrbitCounts:
-    """M x 13 table of per-edge orbit counts, bound to a graph by fingerprint."""
+    """M x 13 table of per-edge orbit counts, which keeps the Graph it was
+    counted on."""
 
     counts: np.ndarray
-    graph_fingerprint: str
+    graph: Graph
 
     def __post_init__(self):
         c = self.counts
@@ -269,7 +273,7 @@ def count_edge_orbits(g: Graph) -> EdgeOrbitCounts:
     o6[:] = si * (si - 1) // 2 + sj * (sj - 1) // 2 - o8
     o5[:] = si * sj - o7
     o12[:] = tri * (tri - 1) // 2 - k
-    return EdgeOrbitCounts(table, g.fingerprint())
+    return EdgeOrbitCounts(table, g)
 
 
 def brute_force_orbit_counts(g: Graph, node_cap: int = 64) -> EdgeOrbitCounts:
@@ -337,7 +341,7 @@ def brute_force_orbit_counts(g: Graph, node_cap: int = 64) -> EdgeOrbitCounts:
         for (u, v), ix in zip(live, orbit_ix):
             counts[eid[u][v], ix] += 1
 
-    return EdgeOrbitCounts(counts, g.fingerprint())
+    return EdgeOrbitCounts(counts, g)
 
 
 def node_motif_features(g: Graph, counts: EdgeOrbitCounts) -> np.ndarray:
@@ -347,7 +351,7 @@ def node_motif_features(g: Graph, counts: EdgeOrbitCounts) -> np.ndarray:
     degree). Then sum, mean, and max of neighbors' base features. Columns are
     unit-Euclidean-normalized; degree-0 nodes get zero aggregates.
     """
-    if counts.graph_fingerprint != g.fingerprint():
+    if counts.graph != g:
         raise ValueError("orbit counts were computed for a different graph")
     n, m = g.num_nodes, g.num_edges
     adj = g.adjacency

@@ -319,8 +319,7 @@ def embed_graph(g: Graph, cfg: PipelineConfig, prior: PipelineResult | None = No
     if prior is not None:
         shared = replace(prior.config, max_steps=cfg.max_steps, global_rank=cfg.global_rank,
                          diffusion=cfg.diffusion, ccd=cfg.ccd)
-        same_graph = prior.counts.graph_fingerprint == g.fingerprint()
-        if prior.config.max_steps < cfg.max_steps or shared != cfg or not same_graph:
+        if prior.config.max_steps < cfg.max_steps or shared != cfg or prior.counts.graph != g:
             raise ValueError(
                 f"the prior does not hold the blocks of max_steps={cfg.max_steps}: it must come from"
                 " the same graph, at least that many steps, and the same orbits, local_rank, kind,"

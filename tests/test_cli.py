@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
 import io
 import os
 import subprocess
@@ -154,6 +155,20 @@ class TestMotifMatrix:
             assert code == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["tri.edges", "w"]
         assert "orbit=1" in out.read_text()
+
+    @pytest.mark.parametrize("text_only", [False, True])
+    def test_stdout_gets_the_bytes_written_to_out(self, triangle, tmp_path, capsysbinary, text_only):
+        argv = ["motif-matrix", "--input", str(triangle), "--orbit", "3"]
+        out = tmp_path / "tri.mtx"
+        assert run_cli(argv + ["--out", str(out)])[0] == 0
+        if text_only:  # a stdout without a binary buffer
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                assert run_cli(argv)[0] == 0
+            written = stdout.getvalue().encode()
+        else:
+            assert run_cli(argv)[0] == 0
+            written = capsysbinary.readouterr().out
+        assert written == out.read_bytes()
 
     def test_orbit_out_of_range(self, triangle, capsys):
         code, _ = run_cli(
@@ -681,6 +696,24 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
         assert len(read_body(tmp_path / "x.tsv")) == 30 and len(read_body(tmp_path / "r.tsv")) == 3
+
+    @pytest.mark.parametrize("token", ["transition", "theta:0.5"])
+    def test_embed_with_diffusion_token(self, ring_graph, tmp_path, token):
+        out = tmp_path / "z.tsv"
+        code, _ = run_cli(["embed", "--input", str(ring_graph), "--dl", "2", "--d", "8", "--k", "1",
+                           "--diffusion", token, "--out", str(out)])
+        assert code == 0
+        assert f"# diffusion={token}" in out.read_text().splitlines()
+        assert {len(ln.split("\t")) for ln in read_body(out)} == {1 + 8}
+
+    @pytest.mark.parametrize("token", ["theta:2", "theta:nan", "theta:x"])
+    def test_bad_theta_is_a_one_line_error(self, triangle, capsys, token):
+        code, _ = run_cli(["embed", "--input", str(triangle), "--diffusion", token], capsys=capsys)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: argument --diffusion: bad theta in '{token}': ")
+        assert captured.err.count("\n") == 1
 
     def test_unknown_diffusion_token(self, triangle, capsys):
         code, _ = run_cli(

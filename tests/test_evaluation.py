@@ -373,6 +373,33 @@ def test_fit_logreg_reaches_the_optimum_at_every_lambda(case):
         assert obj <= reference.fun + 1e-9
 
 
+def test_fit_logreg_backtracks_to_the_optimum_on_a_heavy_tailed_design(monkeypatch):
+    # one of the seeded Cauchy designs on which full Newton steps overshoot
+    rng = np.random.default_rng(1919)
+    n, d, reg = int(rng.integers(4, 61)), int(rng.integers(1, 4)), 10 ** rng.uniform(-4, 1)
+    x = rng.standard_cauchy(size=(n, d))
+    y = (x[:, 0] > 0).astype(float)
+    calls = []
+    original = evaluation._penalized_loss
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(evaluation, "_penalized_loss", counting)
+    model = fit_logreg(x, y, reg)
+    assert model.converged
+    # a fit that never halves evaluates the loss `iterations` times: once at
+    # the start and once per Newton step, the last iteration stopping at the
+    # gradient test
+    assert len(calls) > model.iterations
+    reference = minimize(
+        _objective_and_gradient, np.zeros(d + 1), args=(x, y, reg), jac=True,
+        method="L-BFGS-B", options={"gtol": 1e-10, "ftol": 0.0, "maxiter": 100_000},
+    )
+    np.testing.assert_allclose(np.append(model.weights, model.bias), reference.x, rtol=0, atol=1e-8)
+
+
 @pytest.mark.parametrize("case", [separable_toy, wide_degenerate, logistic_draw])
 def test_fits_along_the_grid_on_one_design_equal_fresh_fits(case):
     x, y = case()
@@ -563,3 +590,12 @@ def test_orbits_are_counted_once_per_split(monkeypatch):
     g = erdos_renyi(35, 0.2, seed=17)
     run_experiment(g, EvalConfig(pipeline=TINY_PIPELINE, step_grid=(1, 2, 3), n_seeds=2))
     assert len(calls) == 2
+
+
+def test_embedding_and_evaluating_a_graph_leave_its_attributes_alone():
+    g = erdos_renyi(35, 0.2, seed=17)
+    before = dict(vars(g))
+    embed_graph(g, replace(TINY_PIPELINE, diffusion=DiffusionConfig(DiffusionVariant.LINEAR)))
+    run_experiment(g, EvalConfig(pipeline=TINY_PIPELINE, step_grid=(1, 2), n_seeds=1))
+    assert vars(g).keys() == before.keys()
+    assert all(vars(g)[key] is value for key, value in before.items())

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -437,6 +438,34 @@ def test_embed_graph_rejects_priors_that_do_not_hold_its_blocks():
     for prior in priors:
         with pytest.raises(ValueError, match="prior does not hold the blocks of max_steps=2"):
             embed_graph(g, cfg, prior=prior)
+
+
+def test_counts_and_priors_are_accepted_on_an_equal_graph_only():
+    g = erdos_renyi(30, 0.2, seed=4)
+    cfg = PipelineConfig(orbits=(1, 3), max_steps=2, local_rank=3, global_rank=6,
+                         diffusion=DiffusionConfig(DiffusionVariant.LINEAR))
+    prior = embed_graph(g, cfg)
+    counts = prior.counts
+    assert counts.graph is g
+    rebuilt = Graph.from_edges(g.num_nodes, np.stack([g.edge_u, g.edge_v], axis=1), labels=g.labels)
+    assert rebuilt == g and rebuilt is not g
+    same = embed_graph(g, cfg, prior=prior).embedding.nodes
+    np.testing.assert_array_equal(embed_graph(rebuilt, cfg, prior=prior).embedding.nodes, same)
+    np.testing.assert_array_equal(node_motif_features(rebuilt, counts), node_motif_features(g, counts))
+    weights = [build_motif_weight_matrix(h, counts, 3).matrix for h in (rebuilt, g)]
+    assert (weights[0] != weights[1]).nnz == 0
+
+    other = erdos_renyi(30, 0.2, seed=5)
+    foreign = "^orbit counts were computed for a different graph$"
+    with pytest.raises(ValueError, match=foreign):
+        build_motif_weight_matrix(other, counts, 3)
+    with pytest.raises(ValueError, match=foreign):
+        node_motif_features(other, counts)
+    with pytest.raises(ValueError, match="^" + re.escape(
+        "the prior does not hold the blocks of max_steps=2: it must come from the same graph, at least"
+        " that many steps, and the same orbits, local_rank, kind, delta and seed"
+    ) + "$"):
+        embed_graph(other, cfg, prior=prior)
 
 
 @pytest.mark.parametrize("diffusion", [None, DiffusionConfig(DiffusionVariant.LINEAR)])
