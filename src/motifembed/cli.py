@@ -10,12 +10,14 @@ a subcommand takes one.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import logging
 import os
 import sys
 import time
 from contextlib import contextmanager, nullcontext
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -271,11 +273,191 @@ def cmd_motif_matrix(args: argparse.Namespace) -> int:
     return 0
 
 
+# ---------------------------------------------------------------------------
+# exact %.17g text for the vector TSVs
+#
+# For finite x ≠ 0, "%.17g" % x prints |x| as D·10^(X−16) with 17 digits,
+# D = round-half-even(|x|·10^(16−X)) in [10^16, 10^17): "0.00ddd" for
+# X = −4..−1, "ddd.ddd" for X = 0..16, "d.ddde-0N" for X = −5, −6, with
+# trailing zeros and a bare point dropped. For X in −6..16 the scale
+# 10^(16−X) is an exact double, so Dekker's TwoProduct splits |x|·10^(16−X)
+# exactly into p + e; p ≥ 2^53 is then an even integer, so p + rint(e) is D,
+# ties included. The writer does this with numpy for a chunk of values at
+# a time and lays each cell out in 8-byte words whose unused bytes are NUL:
+#
+#   head    tab, sign, lead, point, up to three zeros, d0   lead: "0" or d0
+#   whole   digits 1..16 of an integer part past d0   (only if some |x| ≥ 10)
+#   point   the point after such an integer part      (only if some |x| ≥ 10)
+#   frac    the digits after the point, 1..16
+#   exp     "e-05" or "e-06"                          (only if needed)
+#
+# then drops every NUL of the chunk at once. A zero takes the X = −1 layout
+# with D = 0 and prints "0" or "-0". Other exponents, inf and nan are
+# formatted one at a time with "%.17g".
+
+_CHUNK_VALUES = 16_384  # values formatted per numpy pass: bounds the writer's memory
+_SPLITTER = 134_217_729.0  # 2^27 + 1: Dekker's split of a double into 26-bit halves
+_WORD = np.dtype("<u8")
+_MIN_X, _MAX_X = -6, 16  # the decimal exponents whose scale 10^(16−X) is exact
+
+
+@functools.cache
+def _g17_tables() -> SimpleNamespace:
+    """The kernel's lookup tables, built on its first call, so that
+    importing the CLI does no work for them. X indexes from _MIN_X, and L
+    is the number of significant digits of D, 0 for D = 0:
+
+    ascii4    "0000".."9999", one little-endian word each
+    scale     10^(16−X) by X, and its two halves scale_hi and scale_lo
+    head      the head word by (X, L, sign, d0)
+    whole     (2, X): the integer digits among digits 1..16
+    point     the point word by (X, L)
+    frac      (2, (X, L)): the fraction digits among digits 1..16
+    exp       the exponent word by X
+    """
+    four = np.arange(10_000)
+    ascii4 = np.stack([four // 1000, four // 100 % 10, four // 10 % 10, four % 10], axis=1)
+    ascii4 = (ascii4 + ord("0")).astype(np.uint8).view("<u4")[:, 0].astype(_WORD)
+    scale = np.array([float(10**k) for k in range(16 - _MIN_X, 16 - _MAX_X - 1, -1)])
+    split = _SPLITTER * scale
+    scale_hi = split - (split - scale)
+
+    x = np.arange(_MIN_X, _MAX_X + 1)[:, None, None, None]
+    sig = np.arange(18)[:, None, None]
+    neg = np.arange(2)[:, None]
+    d0 = np.arange(10) + ord("0")
+    lead = np.where(x >= 0, x + 1, np.where(x >= -4, 0, 1))  # digits of D before the point
+    zeros = np.where((x >= -4) & (x < 0), -x - 1, 0)
+    dot = sig > lead
+    digit = np.arange(1, 17)
+
+    def words(mask_or_bytes):
+        return np.ascontiguousarray(mask_or_bytes, dtype=np.uint8).view(_WORD)
+
+    head = np.zeros((len(scale), 18, 2, 10, 8), np.uint8)
+    head[..., 0] = ord("\t")
+    head[..., 1] = np.where(neg == 1, ord("-"), 0)
+    head[..., 2] = np.where(lead == 0, ord("0"), d0)
+    head[..., 3] = np.where(dot & (lead <= 1), ord("."), 0)
+    head[..., 4:7] = np.where(np.arange(3) < zeros[..., None], ord("0"), 0)
+    head[..., 7] = np.where((lead == 0) & (sig > 0), d0, 0)
+    whole = np.where(digit < lead[:, 0, 0], 255, 0)
+    frac = np.where((digit >= np.maximum(lead[..., 0], 1)) & (digit < sig[..., 0]), 255, 0)
+    point = np.zeros((len(scale), 18, 8), np.uint8)
+    point[..., 0] = np.where(dot & (lead >= 2), ord("."), 0)[..., 0, 0]
+    exp = np.zeros((len(scale), 8), np.uint8)
+    exp[:2, :4] = np.frombuffer(b"e-06e-05", np.uint8).reshape(2, 4)
+    return SimpleNamespace(
+        ascii4=ascii4,
+        scale=scale,
+        scale_hi=scale_hi,
+        scale_lo=scale - scale_hi,
+        head=words(head).ravel(),
+        whole=words(whole).T.copy(),
+        point=words(point).ravel(),
+        frac=words(frac).reshape(-1, 2).T.copy(),
+        exp=words(exp).ravel(),
+    )
+
+
+def _scaled(a: np.ndarray, x: np.ndarray, t: SimpleNamespace) -> tuple[np.ndarray, np.ndarray]:
+    """(p, e) with p + e = a·10^(16−x) exactly: Dekker's TwoProduct."""
+    i = x - _MIN_X
+    b_hi, b_lo = t.scale_hi[i], t.scale_lo[i]
+    p = a * t.scale[i]
+    s = _SPLITTER * a
+    a_hi = s - (s - a)
+    a_lo = a - a_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _rounded(p: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """p + e rounded half to even, exact for p ≥ 2^53, an even integer."""
+    return p.astype(np.int64) + np.rint(e).astype(np.int64)
+
+
+def _settle(a: np.ndarray, x: np.ndarray, t: SimpleNamespace):
+    """Exponents, digits and a success flag for values next to a decade
+    boundary, where log10 may miss X by one and rounding may carry D to
+    10^17. A value left unsettled gets X = −1 and D = 0."""
+    for _ in range(2):
+        valid = (x >= _MIN_X) & (x <= _MAX_X)
+        p, e = _scaled(np.where(valid, a, 0.0), np.where(valid, x, 0), t)
+        d = _rounded(p, e)
+        # whether p + e < 10^16 exactly: where d rounds to 10^16, p − 10^16
+        # is exact, and adding e keeps the sign of the sum
+        low = (d < 10**16) | ((d == 10**16) & ((p - 1e16) + e < 0))
+        high = d > 10**17
+        if not (valid & (low | high)).any():
+            break
+        x = x + high - low
+    # d = 10^17 prints as 10^16 one decade up, whether p + e reached 10^17
+    # or only rounded to it
+    carry = d == 10**17
+    x = x + carry
+    ok = valid & ~low & ~high & (x <= _MAX_X)
+    return np.where(ok, x, -1), np.where(ok, np.where(carry, 10**16, d), 0), ok
+
+
+def _g17_words(values: np.ndarray) -> np.ndarray:
+    """The cells ``"\\t" + "%.17g" % v`` of a 1-D float64 array, padded with
+    NUL bytes, as a (words, len(values)) array of little-endian words."""
+    t = _g17_tables()
+    a = np.abs(values)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.floor(np.log10(a))
+    fast = (x >= _MIN_X) & (x <= _MAX_X)  # False for zero, inf and nan
+    x = np.where(fast, x, -1).astype(np.intp)
+    a = np.where(fast, a, 0.0)
+    d = _rounded(*_scaled(a, x, t))
+    near = np.flatnonzero(fast & ((d <= 10**16) | (d >= 10**17)))
+    if near.size:
+        x[near], d[near], fast[near] = _settle(a[near], x[near], t)
+
+    top = d // 10**8  # digits 0..8 as an integer
+    d0 = top // 10**8  # the leading digit, 0 only for D = 0
+    tail = np.empty((2, len(values)), _WORD)  # digits 1..8 and 9..16 as integers
+    tail[0] = top - d0 * 10**8
+    tail[1] = d - top * 10**8
+    quot = tail // 10_000
+    digits = t.ascii4[quot] | t.ascii4[tail - quot * 10_000] << 32
+    # the bit length of the digit values locates the last nonzero digit; as
+    # no byte exceeds 9, the float conversion cannot round up past it
+    bits = np.frexp((digits - _WORD.type(0x3030303030303030)).astype(np.float64))[1]
+    sig = np.where(bits[1] > 0, 9 + (bits[1] + 7) // 8, 1 + (bits[0] + 7) // 8) * (d0 > 0)
+
+    by_x = x - _MIN_X
+    by_x_sig = by_x * 18 + sig
+    rows = [t.head[(by_x_sig * 2 + np.signbit(values)) * 10 + d0]]
+    if (x >= 1).any():
+        rows += [digits[0] & t.whole[0][by_x], digits[1] & t.whole[1][by_x], t.point[by_x_sig]]
+    rows += [digits[0] & t.frac[0][by_x_sig], digits[1] & t.frac[1][by_x_sig]]
+    slow = np.flatnonzero(~fast & (values != 0))
+    if slow.size or (x <= -5).any():  # a per-value cell needs up to 25 bytes
+        rows.append(t.exp[by_x])
+    cells = np.stack(rows)
+    if slow.size:
+        text = ["\t" + format(v, ".17g") for v in values[slow].tolist()]
+        cells[:, slow] = np.array(text, dtype=f"S{8 * len(cells)}").view(_WORD).reshape(len(slow), -1).T
+    return cells
+
+
 def _write_vector_tsv(out, labels, matrix) -> None:
-    """One ``label<TAB>v1<TAB>...`` line per row, values at 17 significant digits."""
-    row_format = "%d" + "\t%.17g" * matrix.shape[1] + "\n"
-    for label, row in zip(labels.tolist(), matrix):
-        out.write(row_format % (label, *row.tolist()))
+    """One ``label<TAB>v1<TAB>...`` line per row, each value exactly as
+    ``"%.17g" % v`` prints it, written a chunk of rows at a time."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    rows, cols = matrix.shape
+    step = max(1, _CHUNK_VALUES // max(cols, 1))
+    for start in range(0, rows, step):
+        block = matrix[start : start + step]
+        cells = _g17_words(block.ravel())
+        n, k = len(block), len(cells)
+        line = np.empty((n, 3 + k * cols + 1), _WORD)
+        line[:, :3] = labels[start : start + step].astype("S24").view(_WORD).reshape(n, 3)
+        line[:, 3:-1].reshape(n, cols, k)[...] = cells.T.reshape(n, cols, k)
+        line[:, -1] = ord("\n")
+        out.write(line.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def _same_file(a: str, b: str) -> bool:

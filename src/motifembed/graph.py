@@ -175,8 +175,14 @@ def load_edge_list(
     skipped. Self-loops are dropped but their node is kept; duplicate and
     reversed edges collapse to one. Node labels are compacted to ``[0, N)``
     with the original labels retained.
+
+    A file of plain ``u v`` lines is parsed in bulk; any other input goes
+    line by line, which names the first line it cannot take.
     """
     if isinstance(source, (str, os.PathLike)):
+        graph = _load_plain_file(source, one_indexed, skip_header)
+        if graph is not None:
+            return graph
         with open(source, "r", encoding="utf-8-sig") as fh:  # -sig: drop a leading BOM
             return load_edge_list(fh, one_indexed=one_indexed, skip_header=skip_header)
 
@@ -209,10 +215,80 @@ def load_edge_list(
     if not raw_u:
         raise EmptyGraphError("input contains no edges (M=0)")
 
-    ua = np.asarray(raw_u, dtype=np.int64)
-    va = np.asarray(raw_v, dtype=np.int64)
+    return _graph_of_labels(np.asarray(raw_u, dtype=np.int64), np.asarray(raw_v, dtype=np.int64))
+
+
+def _graph_of_labels(ua: np.ndarray, va: np.ndarray) -> Graph:
+    """The graph of labelled edges (ua[i], va[i]), labels compacted in order."""
     labels = np.unique(np.concatenate([ua, va]))
-    num_nodes = labels.size
     cu = np.searchsorted(labels, ua)
     cv = np.searchsorted(labels, va)
-    return Graph.from_edges(num_nodes, np.stack([cu, cv], axis=1), labels=labels)
+    return Graph.from_edges(labels.size, np.stack([cu, cv], axis=1), labels=labels)
+
+
+_PLAIN_BLOCK = 1 << 20  # characters checked per numpy pass: bounds the parse's memory
+
+
+def _load_plain_file(path, one_indexed: bool, skip_header: bool) -> Graph | None:
+    """The graph of a file whose every line is ``u v``, parsed in bulk, or
+    None for any other file or any failure, left to the line loop."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            return None
+    pairs = _plain_pairs(text)
+    if pairs is None:
+        return None
+    if skip_header:
+        pairs = pairs[1:]
+    if len(pairs) == 0 or (one_indexed and pairs.min() < 1):
+        return None
+    return _graph_of_labels(pairs[:, 0], pairs[:, 1])
+
+
+def _plain_pairs(text: str) -> np.ndarray | None:
+    """The (M, 2) labels of a text whose every line holds two integers of at
+    most 18 digits, each with an optional leading '-', among spaces and
+    tabs; None for any other text. Blocks of whole lines go in turn."""
+    if not text.isascii():
+        return None
+    kind = np.zeros(256, np.uint8)  # 0: a byte no plain line holds
+    kind[np.frombuffer(b"0123456789-", np.uint8)] = (1,) * 10 + (2,)
+    kind[np.frombuffer(b" \t\n", np.uint8)] = (3, 3, 4)
+    parts = []
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + _PLAIN_BLOCK)
+        stop = len(text) if stop < 0 else stop + 1
+        part = _plain_block(text[start:stop], kind)
+        if part is None:
+            return None
+        parts.append(part)
+        start = stop
+    return np.concatenate(parts).reshape(-1, 2) if parts else None
+
+
+def _plain_block(text: str, kind: np.ndarray) -> np.ndarray | None:
+    """The labels of a block of whole lines, as :func:`_plain_pairs`."""
+    byte_kind = kind[np.frombuffer(text.encode("ascii"), np.uint8)]
+    if not byte_kind.all():
+        return None
+    edges = np.diff((byte_kind <= 2).view(np.int8), prepend=0, append=0)
+    starts = np.flatnonzero(edges == 1)
+    ends = np.flatnonzero(edges == -1)
+    line_ends = np.flatnonzero(byte_kind == 4)
+    if byte_kind[-1] != 4:
+        line_ends = np.append(line_ends, len(byte_kind))
+    # two tokens per line: the second starts before the line's end, and the
+    # next line's first after it
+    if len(starts) != 2 * len(line_ends) or (starts[1::2] > line_ends).any() or (
+        starts[2::2] < line_ends[:-1]
+    ).any():
+        return None
+    signed = byte_kind[starts] == 2
+    digits = ends - starts - signed
+    if signed.sum() != (byte_kind == 2).sum() or digits.min() < 1 or digits.max() > 18:
+        return None
+    labels = np.fromstring(text, dtype=np.int64, sep=" ")
+    return labels if len(labels) == len(starts) else None

@@ -5,9 +5,13 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from motifembed import cli, pipeline
 from motifembed.cli import _write_vector_tsv, bench_scaling, main, read_config_file
@@ -379,6 +383,107 @@ class TestEmbed:
         assert out.getvalue() == expect
 
 
+def per_value_tsv(labels, matrix):
+    """The vector TSV as the per-value formatting it must equal."""
+    return "".join(
+        str(int(label)) + "".join("\t" + format(x, ".17g") for x in row) + "\n"
+        for label, row in zip(labels, matrix.tolist())
+    )
+
+
+def written_tsv(labels, matrix):
+    out = io.StringIO()
+    _write_vector_tsv(out, labels, matrix)
+    return out.getvalue()
+
+
+@st.composite
+def labelled_matrices(draw):
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    values = st.one_of(st.floats(), st.floats(-1e17, 1e17), st.floats(-1e-3, 1e-3))
+    matrix = draw(hnp.arrays(np.float64, (rows, cols), elements=values))
+    labels = draw(hnp.arrays(np.int64, rows, elements=st.integers(-(2**63), 2**63 - 1)))
+    return labels, matrix
+
+
+class TestVectorWriter:
+    @given(labelled_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_value_formatting_on_any_matrix(self, case):
+        labels, matrix = case
+        assert written_tsv(labels, matrix) == per_value_tsv(labels, matrix)
+
+    def test_matches_at_every_power_of_ten(self):
+        powers = np.array([float(f"1e{e}") for e in range(-330, 309)])
+        values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+        matrix = np.concatenate([values, -values]).reshape(-1, 6)
+        labels = np.arange(len(matrix)) - 100
+        assert written_tsv(labels, matrix) == per_value_tsv(labels, matrix)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            # the ends of fixed notation, where %g turns exponential, and the
+            # decades next to them
+            [1e-4, 9.9999999999999991e-05, 1.0000000000000001e-04, 1e-5, 9.9999999999999999e-05,
+             9.99999999999999999e-06, 1e-6, 1.5e-6, 9.99999999999999999e-07],
+            [1e16, 9999999999999998.0, 1.0000000000000002e16, 1e17, 99999999999999984.0,
+             1.0000000000000002e17, 12345678901234567.0, 2.0**53, 2.0**53 + 2],
+            # short decimals, and doubles halfway between two 17-digit
+            # decimals, which round to the even one
+            [0.5, 2.5, 0.1, 0.25, 1.5, 3.5, 0.125, 100.0, 1234.5],
+            [1000000000000000.25, 1000000000000000.75, 100000000000000.125, 100000000000000.375,
+             10000000000000.0625, 1000000000000.03125],
+            # at most two integer digits
+            [10.0, 12.5, 37.25, 99.99, 10.000000000000002, 0.5],
+            [5e-324, 0.0, -0.0, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+             np.inf, -np.inf, np.nan],
+        ],
+    )
+    def test_matches_on_boundary_values(self, values):
+        matrix = np.array([values, [-v for v in values]])
+        labels = np.array([0, -(2**63)])
+        assert written_tsv(labels, matrix) == per_value_tsv(labels, matrix)
+
+    def test_exponent_off_by_one_from_log10_is_settled(self):
+        # log10 may miss the exponent by one next to a power of ten; the
+        # digits come out the same from either neighbour
+        values = np.array([1e-5, 9.9999999999999995e-05, 0.001, 1.0, 100.0, 99.999999999999986, 1e15])
+        exact = np.array([int(f"{v:.16e}"[-3:]) for v in values])
+        digits = np.array([int(f"{v:.16e}"[:18].replace(".", "")) for v in values])
+        tables = cli._g17_tables()
+        for guess in (exact - 1, exact + 1):
+            x, d, ok = cli._settle(values, guess, tables)
+            assert ok.all() and (x == exact).all() and (d == digits).all()
+
+    @pytest.mark.parametrize("shape", [(301, 128), (41, 1092)])
+    def test_matches_across_chunk_ends(self, shape):
+        # 128 and 15 rows per chunk: neither row count is a multiple; the
+        # 1092 columns are embed-skewed's --y-out width
+        rng = np.random.default_rng(sum(shape))
+        matrix = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 3, shape)
+        matrix[rng.random(shape) < 0.4] = 0.0
+        assert shape[0] % max(1, cli._CHUNK_VALUES // shape[1]) != 0
+        labels = rng.permutation(shape[0]) * 7
+        assert written_tsv(labels, matrix) == per_value_tsv(labels, matrix)
+
+    def test_memory_stays_flat_with_the_matrix_size(self):
+        class Sink:
+            def write(self, text):
+                pass
+
+        matrix = np.random.default_rng(0).standard_normal((20_000, 128))
+        labels = np.arange(20_000)
+        tracemalloc.start()
+        try:
+            _write_vector_tsv(Sink(), labels, matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the text is about 57 MB; one chunk of it and its arrays are a few MiB
+        assert peak <= 8 * 2**20
+
+
 class TestConfigPrecedence:
     def test_config_file_supplies_values(self, ring_graph, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -675,6 +780,17 @@ class TestEntryPoint:
         proc = run_python(["-m", "motifembed.cli", "count-orbits", "--input", str(triangle)])
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "# subcommand=count-orbits"
+
+    def test_import_loads_only_its_own_modules_beyond_its_libraries(self):
+        probe = (
+            "import sys, argparse, contextlib, dataclasses, enum, functools, io, itertools, logging, os, "
+            "time, typing; import numpy, scipy.sparse; before = set(sys.modules); import motifembed.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))"
+        )
+        proc = run_python(["-c", probe])
+        assert proc.returncode == 0, proc.stderr
+        own = ("cli", "evaluation", "factorize", "generators", "graph", "matrices", "operators", "orbits", "pipeline")
+        assert proc.stdout.split() == ["motifembed"] + [f"motifembed.{name}" for name in own]
 
     def test_import_loads_neither_scipy_special_nor_scipy_io(self):
         probe = "import sys, motifembed.cli; print([m for m in ('scipy.special', 'scipy.io') if m in sys.modules])"

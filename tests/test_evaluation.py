@@ -374,8 +374,9 @@ def test_fit_logreg_reaches_the_optimum_at_every_lambda(case):
 
 
 def test_fit_logreg_backtracks_to_the_optimum_on_a_heavy_tailed_design(monkeypatch):
-    # one of the seeded Cauchy designs on which full Newton steps overshoot
-    rng = np.random.default_rng(1919)
+    # one of the seeded Cauchy designs on which a full Newton step overshoots
+    # far from the optimum: the fifth step more than triples the loss
+    rng = np.random.default_rng(12202)
     n, d, reg = int(rng.integers(4, 61)), int(rng.integers(1, 4)), 10 ** rng.uniform(-4, 1)
     x = rng.standard_cauchy(size=(n, d))
     y = (x[:, 0] > 0).astype(float)
@@ -398,6 +399,28 @@ def test_fit_logreg_backtracks_to_the_optimum_on_a_heavy_tailed_design(monkeypat
         method="L-BFGS-B", options={"gtol": 1e-10, "ftol": 0.0, "maxiter": 100_000},
     )
     np.testing.assert_allclose(np.append(model.weights, model.bias), reference.x, rtol=0, atol=1e-8)
+
+
+def test_fit_logreg_stops_at_the_optimum_on_heavy_tailed_columns(monkeypatch):
+    # cubed Cauchy features reach 1e9: rounding in the gradient's sums keeps
+    # its norm above LOGREG_GRAD_TOL, so the absolute test alone runs to the
+    # iteration cap; measured against the size of those sums it stops early
+    rng = np.random.default_rng(2064)
+    n, d, reg = int(rng.integers(4, 61)), int(rng.integers(1, 4)), 10 ** rng.uniform(-4, 1)
+    x = rng.standard_cauchy(size=(n, d)) ** 3
+    y = (x[:, 0] > 0).astype(float)
+    assert np.abs(x).max() > 1e9
+    model = fit_logreg(x, y, reg)
+    obj, grad = _objective_and_gradient(np.append(model.weights, model.bias), x, y, reg)
+    assert model.converged and model.iterations < 50
+    assert np.linalg.norm(grad) > evaluation.LOGREG_GRAD_TOL
+
+    monkeypatch.setattr(evaluation, "LOGREG_GRAD_TOL", 0.0)  # no gradient passes
+    capped = fit_logreg(x, y, reg)
+    capped_obj, _ = _objective_and_gradient(np.append(capped.weights, capped.bias), x, y, reg)
+    assert not capped.converged
+    # the capped iterations after the stop gain nothing
+    assert obj <= capped_obj * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("case", [separable_toy, wide_degenerate, logistic_draw])

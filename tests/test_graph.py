@@ -225,3 +225,82 @@ def test_degree_sums_to_twice_edges(case):
     n, edges = case
     g = Graph.from_edges(n, edges)
     assert int(g.degrees.sum()) == 2 * g.num_edges
+
+
+def load_outcome(load):
+    """The graph a load returns, or the type and text of what it raises."""
+    try:
+        return load()
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+_PLAIN_LABELS = st.integers(-(10**18) + 1, 10**18 - 1)
+# lines the bulk parse must leave to the line loop
+_ODD_LINES = ["% comment\n", "# comment\n", "\n", "  \t\n", "1 2 3\n", "4\n", "+5 6\n", "1_0 2\n", "--3 4\n",
+              "- 4\n", "5-6 7\n", "9223372036854775808 1\n", "1234567890123456789 2\n", "0 1\r\n", "0x1 2\n",
+              "١ 2\n", "7 8 9.5\n"]
+
+
+@st.composite
+def edge_list_texts(draw):
+    lines = []
+    for u, v in draw(st.lists(st.tuples(_PLAIN_LABELS | st.integers(-3, 9), st.integers(-3, 9)), max_size=8)):
+        lead, gap, tail = (draw(st.sampled_from(["", " ", "\t", " \t "])) for _ in range(3))
+        lines.append(f"{lead}{u}{gap or ' '}{v}{tail}\n")
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_ODD_LINES)))
+    text = "".join(lines)
+    return text[:-1] if text and draw(st.booleans()) else text  # with or without a last newline
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_list_texts(), st.booleans(), st.booleans())
+def test_a_file_loads_as_its_lines_do(tmp_path_factory, text, one_indexed, skip_header):
+    # a path takes the bulk parse where it can; an open file always goes
+    # line by line: graphs, error types and texts must agree
+    path = tmp_path_factory.mktemp("edges") / "g.txt"
+    path.write_text(text, encoding="utf-8")
+    options = {"one_indexed": one_indexed, "skip_header": skip_header}
+    bulk = load_outcome(lambda: load_edge_list(path, **options))
+    with open(path, encoding="utf-8-sig") as fh:
+        lines = load_outcome(lambda: load_edge_list(fh, **options))
+    assert bulk == lines
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1 2 3\n4\n", "4\n1 2 3\n", "1\n2 3 4\n0 1\n", "- 4\n0 1\n", "0 1\n-\t4", "0 1\n\n2 3\n", "0 1 \n2"],
+)
+def test_lines_of_other_token_counts_load_as_their_lines_do(tmp_path, text):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    with open(path) as fh:
+        assert load_outcome(lambda: load_edge_list(path)) == load_outcome(lambda: load_edge_list(fh))
+
+
+@pytest.mark.parametrize(
+    ("text", "options", "message"),
+    [
+        ("0 1\n2\n", {}, "line 2: expected at least 2 tokens, got 1"),
+        ("0 1\n1 2\nfoo bar\n", {}, "line 3: malformed integer token"),
+        ("0 1\n", {"one_indexed": True}, "line 1: node id 0 invalid in one-indexed input"),
+        ("1 2\n-1 3\n", {"one_indexed": True}, "line 2: node id -1 invalid in one-indexed input"),
+        ("0 1\n9223372036854775808 1\n", {}, "line 2: node label 9223372036854775808 is outside the int64 range"),
+    ],
+)
+def test_parse_errors_through_a_path_carry_line_numbers(tmp_path, text, options, message):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    with pytest.raises(EdgeListParseError) as raised:
+        load_edge_list(path, **options)
+    assert str(raised.value).startswith(message)
+
+
+def test_bulk_parse_keeps_labels_signs_and_blanks(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("  -5\t7 \n7 -123456789012345678\n\t0  -5\n")
+    g = load_edge_list(path)
+    assert g.labels.tolist() == [-123456789012345678, -5, 0, 7]
+    assert sorted(g.edges()) == [(0, 3), (1, 2), (1, 3)]
+    assert g == load_edge_list(io.StringIO(path.read_text()))
