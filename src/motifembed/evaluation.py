@@ -19,7 +19,7 @@ log = logging.getLogger("motifembed.evaluation")
 # the share of labeled pairs on which (steps, lambda) is selected
 LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
 FOLDS = 10
-# every logistic fit stops at this gradient norm (see LogRegDesign.settled for
+# every logistic fit stops at this gradient norm (see _settled for
 # heavy-tailed features), or else at this many iterations
 LOGREG_GRAD_TOL = 1e-6
 LOGREG_MAX_ITER = 500
@@ -187,7 +187,6 @@ class LogRegDesign:
 
     rows: np.ndarray
     _start_hessian: np.ndarray | None = field(default=None, init=False, repr=False)
-    _column_max: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def of(cls, features: np.ndarray) -> LogRegDesign:
@@ -203,31 +202,18 @@ class LogRegDesign:
             self._start_hessian = _weighted_gram(self.rows, np.full(len(self.rows), 0.5))
         return self._start_hessian.copy()
 
-    def column_max(self) -> np.ndarray:
-        """The largest |entry| of each column; 1 for the bias column."""
-        if self._column_max is None:
-            self._column_max = np.maximum(self.rows.max(axis=0), -self.rows.min(axis=0))
-        return self._column_max
 
-    def settled(self, grad: np.ndarray, resid: np.ndarray, shrink: np.ndarray) -> bool:
-        """Whether a gradient above ``LOGREG_GRAD_TOL`` is within it of zero
-        after all, measured against the size of the terms it sums.
+def _settled(rows: np.ndarray, grad: np.ndarray, resid: np.ndarray, shrink: np.ndarray) -> bool:
+    """Whether a gradient above ``LOGREG_GRAD_TOL`` is within it of zero
+    after all, measured against the size of the terms it sums.
 
-        Entry j of ``grad`` sums the terms x_ij·r_i/n and the shrinkage
-        reg·w_j, whose size is S_j = Σᵢ|x_ij||r_i|/n + |reg·w_j|. The test
-        is ‖grad / max(1, S)‖ ≤ ``LOGREG_GRAD_TOL``, so a heavy-tailed
-        column, whose rounding error grows with S_j, gets a tolerance it can
-        reach. Two bounds on S, max|x_j| + |reg·w_j| and max|x_j|·mean|r| +
-        |reg·w_j|, settle most calls before the exact sums are formed.
-        """
-        shrink = np.abs(shrink)
-        if np.linalg.norm(grad) > LOGREG_GRAD_TOL * (self.column_max() + shrink).max():
-            return False
-        bound = self.column_max() * np.mean(np.abs(resid)) + shrink
-        if bound.max() <= 1.0 or np.linalg.norm(grad / np.maximum(bound, 1.0)) > LOGREG_GRAD_TOL:
-            return False
-        size = np.abs(self.rows).T @ np.abs(resid) / len(resid) + shrink
-        return bool(np.linalg.norm(grad / np.maximum(size, 1.0)) <= LOGREG_GRAD_TOL)
+    Entry j of ``grad`` sums the terms x_ij·r_i/n and the shrinkage reg·w_j,
+    whose size is S_j = Σᵢ|x_ij||r_i|/n + |reg·w_j|. The test is
+    ‖grad / max(1, S)‖ ≤ ``LOGREG_GRAD_TOL``, so a heavy-tailed column, whose
+    rounding error grows with S_j, gets a tolerance it can reach.
+    """
+    size = np.abs(rows).T @ np.abs(resid) / len(resid) + np.abs(shrink)
+    return bool(np.linalg.norm(grad / np.maximum(size, 1.0)) <= LOGREG_GRAD_TOL)
 
 
 def fit_logreg(features: np.ndarray | LogRegDesign, labels: np.ndarray, reg: float) -> LogRegModel:
@@ -245,7 +231,7 @@ def fit_logreg(features: np.ndarray | LogRegDesign, labels: np.ndarray, reg: flo
     and the Hessian is positive definite even for rank-deficient features.
     The fit stops once the gradient norm is at most ``LOGREG_GRAD_TOL``, or,
     on a design with some |feature| above 1, within it relative to the size
-    of the terms it sums (:meth:`LogRegDesign.settled`); a fit that reaches
+    of the terms it sums (:func:`_settled`); a fit that reaches
     ``LOGREG_MAX_ITER`` iterations first is returned with ``converged=False``
     and a warning.
     """
@@ -267,7 +253,7 @@ def fit_logreg(features: np.ndarray | LogRegDesign, labels: np.ndarray, reg: flo
     penalty = np.full(dim + 1, reg)
     penalty[-1] = 0.0
     # features within ±1 round too little to need the relative test
-    heavy = design.column_max().max() > 1.0
+    heavy = np.abs(rows).max() > 1.0
     coef = np.zeros(dim + 1)
     z = np.zeros(n)
     obj = _penalized_loss(z, labels, coef[:-1], reg)
@@ -278,7 +264,7 @@ def fit_logreg(features: np.ndarray | LogRegDesign, labels: np.ndarray, reg: flo
         resid = prob - labels
         shrink = penalty * coef
         grad = rows.T @ resid / n + shrink
-        if np.linalg.norm(grad) <= LOGREG_GRAD_TOL or (heavy and design.settled(grad, resid, shrink)):
+        if np.linalg.norm(grad) <= LOGREG_GRAD_TOL or (heavy and _settled(rows, grad, resid, shrink)):
             converged = True
             break
         hess = design.start_hessian() if it == 1 else _weighted_gram(rows, prob)

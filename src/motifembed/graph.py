@@ -7,6 +7,7 @@ edge list are kept in a side table so output can use them again.
 
 from __future__ import annotations
 
+import io
 import os
 from typing import IO, Iterable, Iterator
 
@@ -180,11 +181,12 @@ def load_edge_list(
     line by line, which names the first line it cannot take.
     """
     if isinstance(source, (str, os.PathLike)):
-        graph = _load_plain_file(source, one_indexed, skip_header)
+        with open(source, "rb") as fh:
+            data = fh.read()  # once: a pipe's path cannot be read again
+        graph = _load_plain_bytes(data, one_indexed, skip_header)
         if graph is not None:
             return graph
-        with open(source, "r", encoding="utf-8-sig") as fh:  # -sig: drop a leading BOM
-            return load_edge_list(fh, one_indexed=one_indexed, skip_header=skip_header)
+        source = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")  # -sig: drop a leading BOM
 
     raw_u: list[int] = []
     raw_v: list[int] = []
@@ -226,18 +228,10 @@ def _graph_of_labels(ua: np.ndarray, va: np.ndarray) -> Graph:
     return Graph.from_edges(labels.size, np.stack([cu, cv], axis=1), labels=labels)
 
 
-_PLAIN_BLOCK = 1 << 20  # characters checked per numpy pass: bounds the parse's memory
-
-
-def _load_plain_file(path, one_indexed: bool, skip_header: bool) -> Graph | None:
+def _load_plain_bytes(data: bytes, one_indexed: bool, skip_header: bool) -> Graph | None:
     """The graph of a file whose every line is ``u v``, parsed in bulk, or
-    None for any other file or any failure, left to the line loop."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError:
-            return None
-    pairs = _plain_pairs(text)
+    None for any other file, left to the line loop."""
+    pairs = _plain_pairs(data.removeprefix(b"\xef\xbb\xbf"))
     if pairs is None:
         return None
     if skip_header:
@@ -247,32 +241,15 @@ def _load_plain_file(path, one_indexed: bool, skip_header: bool) -> Graph | None
     return _graph_of_labels(pairs[:, 0], pairs[:, 1])
 
 
-def _plain_pairs(text: str) -> np.ndarray | None:
+def _plain_pairs(data: bytes) -> np.ndarray | None:
     """The (M, 2) labels of a text whose every line holds two integers of at
     most 18 digits, each with an optional leading '-', among spaces and
-    tabs; None for any other text. Blocks of whole lines go in turn."""
-    if not text.isascii():
-        return None
+    tabs; None for any other text."""
     kind = np.zeros(256, np.uint8)  # 0: a byte no plain line holds
     kind[np.frombuffer(b"0123456789-", np.uint8)] = (1,) * 10 + (2,)
     kind[np.frombuffer(b" \t\n", np.uint8)] = (3, 3, 4)
-    parts = []
-    start = 0
-    while start < len(text):
-        stop = text.find("\n", start + _PLAIN_BLOCK)
-        stop = len(text) if stop < 0 else stop + 1
-        part = _plain_block(text[start:stop], kind)
-        if part is None:
-            return None
-        parts.append(part)
-        start = stop
-    return np.concatenate(parts).reshape(-1, 2) if parts else None
-
-
-def _plain_block(text: str, kind: np.ndarray) -> np.ndarray | None:
-    """The labels of a block of whole lines, as :func:`_plain_pairs`."""
-    byte_kind = kind[np.frombuffer(text.encode("ascii"), np.uint8)]
-    if not byte_kind.all():
+    byte_kind = kind[np.frombuffer(data, np.uint8)]
+    if not byte_kind.size or not byte_kind.all():
         return None
     edges = np.diff((byte_kind <= 2).view(np.int8), prepend=0, append=0)
     starts = np.flatnonzero(edges == 1)
@@ -290,5 +267,5 @@ def _plain_block(text: str, kind: np.ndarray) -> np.ndarray | None:
     digits = ends - starts - signed
     if signed.sum() != (byte_kind == 2).sum() or digits.min() < 1 or digits.max() > 18:
         return None
-    labels = np.fromstring(text, dtype=np.int64, sep=" ")
-    return labels if len(labels) == len(starts) else None
+    labels = np.fromstring(data, dtype=np.int64, sep=" ")
+    return labels.reshape(-1, 2) if len(labels) == len(starts) else None

@@ -1,4 +1,5 @@
 import io
+import os
 
 import numpy as np
 import pytest
@@ -57,6 +58,22 @@ def test_a_byte_order_mark_is_skipped(tmp_path):
     marked.write_text("0 1\n1 2\n", encoding="utf-8-sig")
     assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
     assert load_edge_list(marked) == load_edge_list(plain)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd paths")
+@pytest.mark.parametrize("text", ["0 1\n1 2\n", "# two edges\n0 1\n1 2\n", "% weighted\n0 1 0.5\n\n1 2 2\n"])
+def test_a_path_readable_once_loads_plain_and_other_lines(text):
+    # a pipe's path gives its bytes to the first open only: a second read
+    # of the path would find no edges
+    read_end, write_end = os.pipe()
+    os.write(write_end, text.encode())
+    os.close(write_end)
+    try:
+        g = load_edge_list(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    assert g == load_edge_list(io.StringIO(text))
+    assert g.num_edges == 2
 
 
 def test_parse_errors_carry_line_numbers():
