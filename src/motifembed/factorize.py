@@ -135,7 +135,9 @@ def _at_rank(u: np.ndarray, v: np.ndarray, rank: int) -> tuple[np.ndarray, np.nd
     return u, v
 
 
-def randomized_low_rank(operator, cfg: FactorizeConfig) -> LowRankFactors:
+def randomized_low_rank(
+    operator, cfg: FactorizeConfig, support: tuple[int, np.ndarray] | None = None
+) -> LowRankFactors:
     """Randomized subspace iteration at rank ``cfg.rank``.
 
     ``operator`` may be a dense array or a sparse matrix, whose products are
@@ -152,6 +154,15 @@ def randomized_low_rank(operator, cfg: FactorizeConfig) -> LowRankFactors:
     of V positive. The draw is capped at min(shape), the most directions a
     range finder can return; components past it or below the rank
     tolerance are zero, so U and V always have ``cfg.rank`` of them.
+
+    ``support=(n, S)`` says that ``operator`` is the S×S block A[S, S] of an
+    n×n matrix A whose rows and columns outside the sorted node indices S
+    are zero, and returns the factors of A itself: U is n×rank and V is
+    rank×n, both zero outside S. The test block is rows S of the one n×draw
+    block the unrestricted call would draw from ``cfg.seed``, with the draw
+    capped at |S|, and the rank tolerance is A's. Every panel has |S| rows;
+    only the draw and the returned factors are n long. With S every node,
+    the result is bit-identical to the call without ``support``.
     """
     if sp.issparse(operator) or isinstance(operator, np.ndarray):
         matmat, rmatmat = operator.__matmul__, operator.T.__matmul__
@@ -161,7 +172,14 @@ def randomized_low_rank(operator, cfg: FactorizeConfig) -> LowRankFactors:
     draw = min(cfg.rank + cfg.oversample, n_rows, n_cols)
 
     rng = np.random.default_rng(cfg.seed)
-    test = rng.standard_normal((n_cols, draw))
+    if support is None:
+        size = max(n_rows, n_cols)
+        test = rng.standard_normal((n_cols, draw))
+    else:
+        size, rows = support
+        if operator.shape != (len(rows), len(rows)):
+            raise ValueError(f"operator {operator.shape} is not the block of {len(rows)} support nodes")
+        test = rng.standard_normal((size, min(cfg.rank + cfg.oversample, size)))[rows, :draw]
     sample = matmat(test)
     for _ in range(cfg.power_iters):
         q, _ = _orthonormalize(sample, passes=1)
@@ -174,11 +192,15 @@ def randomized_low_rank(operator, cfg: FactorizeConfig) -> LowRankFactors:
     u = q @ (ub[:, : cfg.rank] * sigma[: cfg.rank])
     v = wt[: cfg.rank] @ qb.T
 
-    tol = max(n_rows, n_cols) * np.finfo(np.float64).eps * (sigma[0] if sigma.size else 0.0)
+    tol = size * np.finfo(np.float64).eps * (sigma[0] if sigma.size else 0.0)
     achieved = int(np.sum(sigma[: cfg.rank] > tol))
     u[:, achieved:] = 0.0
     v[achieved:, :] = 0.0
     u, v = _at_rank(u, v, cfg.rank)
+    if support is not None:
+        u_full, v_full = np.zeros((size, cfg.rank)), np.zeros((cfg.rank, size))
+        u_full[rows], v_full[:, rows] = u, v
+        u, v = u_full, v_full
     return LowRankFactors(U=u, V=v, achieved_rank=achieved)
 
 

@@ -46,6 +46,24 @@ class MotifWeightedGraph:
     def num_nodes(self) -> int:
         return self.matrix.shape[0]
 
+    def on_support(self) -> tuple[np.ndarray, MotifWeightedGraph]:
+        """The support S, the sorted nodes with a nonempty row, and the
+        graph W[S, S] on it; this graph itself when S is every node.
+
+        W is symmetric, so its rows and columns outside S are zero. W[S, S]
+        keeps the data and the row order of W, its row pointers are those
+        of S, and each column index is mapped to its rank in S.
+        """
+        m = self.matrix
+        nonempty = np.diff(m.indptr) > 0
+        nodes = np.flatnonzero(nonempty)
+        if len(nodes) == self.num_nodes:
+            return nodes, self
+        rank = np.cumsum(nonempty, dtype=m.indices.dtype) - 1
+        block = sp.csr_matrix((m.data, rank[m.indices], m.indptr[np.append(nodes, self.num_nodes)]),
+                              shape=(len(nodes), len(nodes)))
+        return nodes, MotifWeightedGraph(matrix=block, is_empty=self.is_empty)
+
 
 def build_motif_weight_matrix(
     g: Graph, counts: EdgeOrbitCounts, orbit: int, delta: int = 1

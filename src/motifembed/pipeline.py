@@ -99,12 +99,15 @@ class PipelineConfig:
 
 class Block(NamedTuple):
     """One column range of a local-block matrix: the factor of ``orbit`` at
-    step ``k``, or the diffused attributes when both are None."""
+    step ``k``, or the diffused attributes when both are None. ``support``
+    is how many nodes the orbit's weight matrix touches, its rows that
+    can be nonzero; None for the attributes."""
 
     k: int | None
     orbit: int | None
     columns: slice
     is_zero: bool = False
+    support: int | None = None
 
 
 @dataclass(frozen=True)
@@ -168,17 +171,26 @@ def local_embeddings(
     trailing columns of a block zero, so the layout never varies. Each
     block is a randomized factorization of its k-step matrix and depends
     only on (seed, k, orbit).
+
+    A block is factorized on its support S, the nodes the orbit's weight
+    matrix touches (:meth:`~motifembed.matrices.MotifWeightedGraph.on_support`):
+    every kind gives the nodes outside S all-zero rows and columns, so the
+    k-step matrix is K[S, S] padded with zeros, and the factorization of
+    K[S, S] from rows S of the block's unchanged test draw fills rows S of
+    the block (see :func:`randomized_low_rank`). A block whose support is
+    every node is factorized on the whole matrix.
     """
-    r = cfg.local_rank
+    r, n = cfg.local_rank, g.num_nodes
     pairs = list(product(range(1, _block_steps(cfg) + 1), cfg.orbits))
-    matrix = np.zeros((g.num_nodes, len(pairs) * r), order="F")
+    matrix = np.zeros((n, len(pairs) * r), order="F")
+    restricted = {orbit: weights[orbit].on_support() for orbit in cfg.orbits}
     blocks = []
     for i, (k, orbit) in enumerate(pairs):
         columns = slice(i * r, (i + 1) * r)
-        wg = weights[orbit]
-        if wg.is_empty:
-            log.info("orbit %d has no edges at delta=%d; zero block", orbit, cfg.delta)
-        else:
+        nodes, wg = restricted[orbit]
+        log.info("orbit %d at k=%d: support of %d of %d nodes%s", orbit, k, len(nodes), n,
+                 f"; no edges at delta={cfg.delta}, zero block" if wg.is_empty else "")
+        if not wg.is_empty:
             op = KStepOperator(wg, cfg.kind, k)
             fac_cfg = FactorizeConfig(
                 rank=cfg.local_rank,
@@ -186,8 +198,12 @@ def local_embeddings(
                 power_iters=POWER_ITERS,
                 seed=_block_seed(cfg.seed, k, orbit),
             )
-            matrix[:, columns] = normalize_columns(randomized_low_rank(op, fac_cfg).U)
-        blocks.append(Block(k, orbit, columns, wg.is_empty))
+            if len(nodes) == n:
+                factors = randomized_low_rank(op, fac_cfg)
+            else:
+                factors = randomized_low_rank(op, fac_cfg, support=(n, nodes))
+            matrix[:, columns] = normalize_columns(factors.U)
+        blocks.append(Block(k, orbit, columns, wg.is_empty, len(nodes)))
     matrix.flags.writeable = False
     return ConcatenatedEmbeddings(matrix, tuple(blocks))
 

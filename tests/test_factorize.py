@@ -129,6 +129,49 @@ def test_rsvd_oversized_request_returns_rank_components():
     assert eye.U.shape == (10, 8) and eye.achieved_rank == 8
 
 
+def _symmetric_with_gap(size, seed):
+    # eigenvalues ±0.7^i in random signs: the top 6 |λ| are well apart from the 7th
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((size, size)))
+    lam = 0.7 ** np.arange(size) * rng.choice([-1.0, 1.0], size)
+    return (basis * lam) @ basis.T
+
+
+def test_rsvd_on_a_support_of_every_node_is_the_plain_call():
+    a = _symmetric_with_gap(40, seed=50)
+    cfg = FactorizeConfig(rank=6, seed=9)
+    for operator in (a, sp.csr_matrix(a)):
+        plain = randomized_low_rank(operator, cfg)
+        on_all = randomized_low_rank(operator, cfg, support=(40, np.arange(40)))
+        assert on_all.U.tobytes() == plain.U.tobytes() and on_all.V.tobytes() == plain.V.tobytes()
+        assert on_all.achieved_rank == plain.achieved_rank == 6
+
+
+@pytest.mark.parametrize("size", [30, 8])  # a draw of 16, and one capped at the support
+def test_rsvd_on_a_support_factorizes_the_zero_padded_matrix(size, householder_calls):
+    n = 50
+    rows = np.sort(np.random.default_rng(size).choice(n, size, replace=False))
+    block = _symmetric_with_gap(size, seed=51)
+    padded = np.zeros((n, n))
+    padded[np.ix_(rows, rows)] = block
+    cfg = FactorizeConfig(rank=6, oversample=10, seed=4)
+    householder_calls.clear()  # the QR that built the block
+    full = randomized_low_rank(padded, cfg)
+    # the padded 8-node matrix gives rank-deficient 16-column panels
+    assert bool(householder_calls) == (size < 16)
+    householder_calls.clear()
+    out = randomized_low_rank(block, cfg, support=(n, rows))
+    assert householder_calls == []
+    assert out.U.shape == (n, 6) and out.V.shape == (6, n)
+    outside = np.setdiff1d(np.arange(n), rows)
+    assert not out.U[outside].any() and not out.V[:, outside].any()
+    assert out.achieved_rank == full.achieved_rank == 6
+    np.testing.assert_allclose(out.U[rows], full.U[rows], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out.V[:, rows], full.V[:, rows], rtol=0, atol=1e-12)
+    with pytest.raises(ValueError, match="support nodes"):
+        randomized_low_rank(block, cfg, support=(n, rows[1:]))
+
+
 @pytest.fixture
 def householder_calls(monkeypatch):
     """Shapes of the panels passed to Householder QR while the test runs."""

@@ -102,7 +102,8 @@ def test_empty_orbits_give_flagged_zero_blocks_of_full_width():
 @pytest.mark.parametrize("n, local_rank", [(9, 16), (12, 4), (20, 16), (20, 40)])
 def test_small_graph_blocks_equal_hand_clamped_factorizations(n, local_rank):
     # n < local_rank + OVERSAMPLE: the factorization caps its own draw at n,
-    # which gives the blocks of rank and oversample clamped to n by hand
+    # which gives the blocks of rank and oversample clamped to n by hand;
+    # each is factorized on its support, from rows S of that same draw
     g = erdos_renyi(n, 0.4, seed=n)
     cfg = PipelineConfig(max_steps=2, local_rank=local_rank, seed=7)
     weights = orbit_weights(g, count_edge_orbits(g), cfg)
@@ -111,11 +112,64 @@ def test_small_graph_blocks_equal_hand_clamped_factorizations(n, local_rank):
     # kind w: the one-step blocks only, at max_steps=2 too
     expected = np.zeros((n, 13 * local_rank))
     for i, orbit in enumerate(range(1, NUM_ORBITS + 1)):
-        if not weights[orbit].is_empty:
-            op = KStepOperator(weights[orbit], cfg.kind, 1)
-            factors = randomized_low_rank(op, FactorizeConfig(seed=_block_seed(7, 1, orbit), **fac))
+        nodes, wg = weights[orbit].on_support()
+        if not wg.is_empty:
+            op = KStepOperator(wg, cfg.kind, 1)
+            factors = randomized_low_rank(op, FactorizeConfig(seed=_block_seed(7, 1, orbit), **fac),
+                                          support=(n, nodes))
             expected[:, i * local_rank : i * local_rank + rank] = normalize_columns(factors.U)
     np.testing.assert_array_equal(local_embeddings(g, weights, cfg).matrix, expected)
+
+
+def _with_isolated_nodes_and_a_clique():
+    # 46 nodes: 0-2 and 39-40 isolated, an ER graph on 3..38, and a 5-clique
+    # on 41..45, each edge in three 4-cliques, whose 4-clique orbit (13) has
+    # a support of 5 nodes at delta 1 and 2, below the draw of local_rank 4
+    # + OVERSAMPLE
+    base = erdos_renyi(36, 0.15, seed=4)
+    edges = [(u + 3, v + 3) for u, v in base.edges()]
+    edges += [(a, b) for a in range(41, 46) for b in range(a + 1, 46)]
+    return Graph.from_edges(46, edges)
+
+
+@pytest.mark.parametrize("delta", [1, 2])
+@pytest.mark.parametrize("kind", list(MotifMatrixKind))
+def test_blocks_factorized_on_their_support_span_the_full_operator_factorization(kind, delta):
+    g = _with_isolated_nodes_and_a_clique()
+    n, r = g.num_nodes, 4
+    cfg = PipelineConfig(max_steps=3, local_rank=r, kind=kind, delta=delta, seed=11)
+    weights = orbit_weights(g, count_edge_orbits(g), cfg)
+    local = local_embeddings(g, weights, cfg)
+    assert 0 < len(weights[13].on_support()[0]) < r + pipeline.OVERSAMPLE
+    gapped = 0
+    for wg in weights.values():
+        nodes, sub = wg.on_support()
+        assert not np.isin([0, 1, 2, 39, 40], nodes).any()
+        for k in (1, 2, 3):
+            # every kind gives the nodes outside S zero rows and columns
+            padded = np.zeros((n, n))
+            padded[np.ix_(nodes, nodes)] = dense_kstep(sub, kind, k)
+            np.testing.assert_allclose(padded, dense_kstep(wg, kind, k), rtol=0, atol=1e-12)
+    for block in local:
+        wg = weights[block.orbit]
+        nodes, _ = wg.on_support()
+        assert block.support == len(nodes) and block.is_zero == wg.is_empty
+        u = local.matrix[:, block.columns]
+        assert not u[np.setdiff1d(np.arange(n), nodes)].any()
+        # orthonormal columns: the fusion sees the block only through u uᵀ
+        live = u.any(axis=0)
+        np.testing.assert_allclose(u.T @ u, np.diag(live.astype(float)), rtol=0, atol=1e-12)
+        if wg.is_empty:
+            continue
+        sigma = np.linalg.svd(dense_kstep(wg, kind, block.k), compute_uv=False)
+        if sigma[r - 1] - sigma[r] <= 1e-3 * sigma[0]:
+            continue  # a tie at the rank boundary: the span is not determined
+        gapped += 1
+        fac = FactorizeConfig(rank=r, oversample=pipeline.OVERSAMPLE, power_iters=pipeline.POWER_ITERS,
+                              seed=_block_seed(cfg.seed, block.k, block.orbit))
+        full = normalize_columns(randomized_low_rank(KStepOperator(wg, kind, block.k), fac).U)
+        np.testing.assert_allclose(u @ u.T, full @ full.T, rtol=0, atol=1e-12)
+    assert gapped >= len(local.blocks) // 2
 
 
 def aligned_to(actual, expected):
