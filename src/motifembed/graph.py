@@ -77,13 +77,15 @@ class Graph:
             raise ValueError("labels must have one entry per node")
 
         # Row x lists the edges (w, x), w < x, in edge order, then the edges
-        # (x, w), w > x, in edge order: both runs ascend in w, so a stable
-        # sort by row of the directions v→u followed by u→v is the CSR.
-        order = np.argsort(np.concatenate([edge_v, edge_u]), kind="stable")
-        indices = np.concatenate([edge_u, edge_v])[order]
-        self.slot_edge = order % m
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(indices, minlength=num_nodes))])
-        self.adjacency = sp.csr_matrix((np.ones(2 * m), indices, indptr), shape=(num_nodes, num_nodes))
+        # (x, w), w > x, in edge order: both runs ascend in w. scipy's
+        # linear-time COO→CSR keeps each row's entries in input order, so
+        # given the directions v→u, then u→v, its rows need no sort, and
+        # the edge ids, as its values, become each entry's edge id.
+        ids = np.arange(m)
+        rows, cols = np.concatenate([edge_v, edge_u]), np.concatenate([edge_u, edge_v])
+        by_id = sp.coo_matrix((np.concatenate([ids, ids]), (rows, cols)), shape=(num_nodes, num_nodes)).tocsr()
+        self.slot_edge = by_id.data
+        self.adjacency = sp.csr_matrix((np.ones(2 * m), by_id.indices, by_id.indptr), shape=by_id.shape)
 
         # scipy may keep the index arrays as int32 copies of its own; a
         # matrix built on them would share them, so they are frozen too
@@ -113,14 +115,13 @@ class Graph:
             raise ValueError("edge endpoint outside [0, num_nodes)")
         u = np.minimum(arr[:, 0], arr[:, 1])
         v = np.maximum(arr[:, 0], arr[:, 1])
-        keep = u != v
-        u, v = u[keep], v[keep]
-        if u.size == 0:
+        # sorted keys u·n + v are canonical (u, v) order; a repeat of the
+        # key before it is a duplicate edge
+        key = np.sort((u * np.int64(num_nodes) + v)[u != v])
+        if key.size == 0:
             raise EmptyGraphError("graph has no edges after dropping self-loops (M=0)")
-        key = u * np.int64(num_nodes) + v
-        # unique keys come back sorted, which is exactly canonical (u, v) order
-        _, first = np.unique(key, return_index=True)
-        return cls(num_nodes, u[first], v[first], labels=labels)
+        key = key[np.append(True, key[1:] != key[:-1])]
+        return cls(num_nodes, *np.divmod(key, num_nodes), labels=labels)
 
     # -- queries ----------------------------------------------------------
 
@@ -222,10 +223,8 @@ def load_edge_list(
 
 def _graph_of_labels(ua: np.ndarray, va: np.ndarray) -> Graph:
     """The graph of labelled edges (ua[i], va[i]), labels compacted in order."""
-    labels = np.unique(np.concatenate([ua, va]))
-    cu = np.searchsorted(labels, ua)
-    cv = np.searchsorted(labels, va)
-    return Graph.from_edges(labels.size, np.stack([cu, cv], axis=1), labels=labels)
+    labels, ids = np.unique(np.concatenate([ua, va]), return_inverse=True)
+    return Graph.from_edges(labels.size, ids.reshape(2, -1).T, labels=labels)
 
 
 def _load_plain_bytes(data: bytes, one_indexed: bool, skip_header: bool) -> Graph | None:

@@ -177,8 +177,8 @@ def local_embeddings(
     every kind gives the nodes outside S all-zero rows and columns, so the
     k-step matrix is K[S, S] padded with zeros, and the factorization of
     K[S, S] from rows S of the block's unchanged test draw fills rows S of
-    the block (see :func:`randomized_low_rank`). A block whose support is
-    every node is factorized on the whole matrix.
+    the block (see :func:`randomized_low_rank`). A support of every node is
+    the whole matrix, whose factorization is the unrestricted one.
     """
     r, n = cfg.local_rank, g.num_nodes
     pairs = list(product(range(1, _block_steps(cfg) + 1), cfg.orbits))
@@ -198,10 +198,7 @@ def local_embeddings(
                 power_iters=POWER_ITERS,
                 seed=_block_seed(cfg.seed, k, orbit),
             )
-            if len(nodes) == n:
-                factors = randomized_low_rank(op, fac_cfg)
-            else:
-                factors = randomized_low_rank(op, fac_cfg, support=(n, nodes))
+            factors = randomized_low_rank(op, fac_cfg, support=(n, nodes))
             matrix[:, columns] = normalize_columns(factors.U)
         blocks.append(Block(k, orbit, columns, wg.is_empty, len(nodes)))
     matrix.flags.writeable = False

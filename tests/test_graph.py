@@ -3,7 +3,8 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from motifembed.generators import erdos_renyi_average_degree
@@ -321,3 +322,70 @@ def test_bulk_parse_keeps_labels_signs_and_blanks(tmp_path):
     assert g.labels.tolist() == [-123456789012345678, -5, 0, 7]
     assert sorted(g.edges()) == [(0, 3), (1, 2), (1, 3)]
     assert g == load_edge_list(io.StringIO(path.read_text()))
+
+
+def recipe_arrays(pairs, num_nodes=None):
+    """Every array of the graph of ``pairs``, built by a second recipe:
+    labels compacted by ``searchsorted`` (dense ids 0..num_nodes-1 when
+    ``num_nodes`` is given), the first of each key kept by
+    ``np.unique(return_index=True)``, and the CSR from a stable argsort of
+    the directed entries by row."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if num_nodes is None:
+        labels = np.unique(pairs)
+        pairs = np.searchsorted(labels, pairs)
+    else:
+        labels = np.arange(num_nodes, dtype=np.int64)
+    n = len(labels)
+    u, v = pairs.min(axis=1), pairs.max(axis=1)
+    u, v = u[u != v], v[u != v]
+    _, first = np.unique(u * n + v, return_index=True)
+    u, v = u[first], v[first]
+    order = np.argsort(np.concatenate([v, u]), kind="stable")
+    indices = np.concatenate([u, v])[order]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(indices, minlength=n))])
+    adj = sp.csr_matrix((np.ones(2 * len(u)), indices, indptr), shape=(n, n))
+    return {"edge_u": u, "edge_v": v, "edge_keys": u * n + v, "labels": labels, "slot_edge": order % len(u),
+            "data": adj.data, "indices": adj.indices, "indptr": adj.indptr}
+
+
+def graph_arrays(g):
+    adj = g.adjacency
+    return {"edge_u": g.edge_u, "edge_v": g.edge_v, "edge_keys": g.edge_keys, "labels": g.labels,
+            "slot_edge": g.slot_edge, "data": adj.data, "indices": adj.indices, "indptr": adj.indptr}
+
+
+@st.composite
+def messy_pairs(draw):
+    """Distinct int64 labels, some never in a pair (isolated nodes), and
+    pairs of their indices with self-loops, duplicates and reversed
+    duplicates."""
+    # plain labels let a file take the bulk parse; any int64 may send it to the line loop
+    int64 = st.integers(-(2**63), 2**63 - 1)
+    labels = draw(st.lists(_PLAIN_LABELS | int64, min_size=2, max_size=12, unique=True))
+    ids = st.integers(0, len(labels) - 1)
+    pairs = draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=30))
+    pairs += [(b, a) for a, b in draw(st.lists(st.sampled_from(pairs), max_size=10))]
+    assume(any(a != b for a, b in pairs))
+    return labels, draw(st.permutations(pairs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(messy_pairs())
+def test_every_graph_array_equals_the_argsort_recipe(tmp_path_factory, case):
+    labels, pairs = case
+    labelled = [(labels[a], labels[b]) for a, b in pairs]
+    plain = "".join(f"{a} {b}\n" for a, b in labelled)
+    folder = tmp_path_factory.mktemp("edges")
+    (folder / "plain.txt").write_text(plain)
+    (folder / "commented.txt").write_text("# a comment line\n" + plain)
+    cases = [
+        ("from_edges", Graph.from_edges(len(labels), pairs), recipe_arrays(pairs, num_nodes=len(labels))),
+        ("plain file", load_edge_list(folder / "plain.txt"), recipe_arrays(labelled)),
+        ("line loop", load_edge_list(folder / "commented.txt"), recipe_arrays(labelled)),
+    ]
+    for name, g, expected in cases:
+        got = graph_arrays(g)
+        for key, array in expected.items():
+            assert got[key].dtype == array.dtype, (name, key)
+            np.testing.assert_array_equal(got[key], array, err_msg=f"{name}: {key}")

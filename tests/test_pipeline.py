@@ -208,13 +208,15 @@ def test_kind_w_fusion_equals_fusing_sign_flipped_copies(steps, diffusion):
 
 @pytest.mark.parametrize("kind", [k for k in MotifMatrixKind if k is not MotifMatrixKind.WEIGHTED_GRAPH])
 def test_kinds_other_than_w_factorize_every_step_and_orbit(monkeypatch, kind):
-    g = erdos_renyi(25, 0.3, seed=2)
+    base = erdos_renyi(25, 0.3, seed=2)
+    g = Graph(26, base.edge_u, base.edge_v)  # node 25 is isolated, so no support is every node
     cfg = PipelineConfig(orbits=(1, 2, 3), max_steps=3, local_rank=4, kind=kind, seed=5)
     seeds = []
 
-    def recording(op, fac_cfg):
+    def recording(op, fac_cfg, support):
+        assert len(support[1]) < support[0] == g.num_nodes
         seeds.append(fac_cfg.seed)
-        return randomized_low_rank(op, fac_cfg)
+        return randomized_low_rank(op, fac_cfg, support=support)
 
     monkeypatch.setattr(pipeline, "randomized_low_rank", recording)
     local_of(g, count_edge_orbits(g), cfg)
