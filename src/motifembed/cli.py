@@ -293,12 +293,19 @@ def cmd_motif_matrix(args: argparse.Namespace) -> int:
 #
 # then drops every NUL of the chunk at once. A zero takes the X = −1 layout
 # with D = 0 and prints "0" or "-0". Other exponents, inf and nan are
-# formatted one at a time with "%.17g".
+# formatted one at a time with "%.17g". A chunk's cells are as wide as its
+# common values need: when the values that need the whole and point words
+# or a per-value cell are few, those are formatted one at a time too, and
+# the X = −5, −6 cells move their fraction and exponent into 3 words, so
+# the chunk keeps the head and frac words alone.
 
 _CHUNK_VALUES = 16_384  # values formatted per numpy pass: bounds the writer's memory
 _SPLITTER = 134_217_729.0  # 2^27 + 1: Dekker's split of a double into 26-bit halves
 _WORD = np.dtype("<u8")
 _MIN_X, _MAX_X = -6, 16  # the decimal exponents whose scale 10^(16−X) is exact
+# at most 1/_FEW_WIDE of a chunk's values are formatted one at a time: with
+# 1/32 of them at |v| ≥ 10 that costs as much as the three words it spares
+_FEW_WIDE = 64
 
 
 @functools.cache
@@ -428,18 +435,41 @@ def _g17_words(values: np.ndarray) -> np.ndarray:
 
     by_x = x - _MIN_X
     by_x_sig = by_x * 18 + sig
-    rows = [t.head[(by_x_sig * 2 + np.signbit(values)) * 10 + d0]]
-    if (x >= 1).any():
-        rows += [digits[0] & t.whole[0][by_x], digits[1] & t.whole[1][by_x], t.point[by_x_sig]]
-    rows += [digits[0] & t.frac[0][by_x_sig], digits[1] & t.frac[1][by_x_sig]]
-    slow = np.flatnonzero(~fast & (values != 0))
-    if slow.size or (x <= -5).any():  # a per-value cell needs up to 25 bytes
-        rows.append(t.exp[by_x])
-    cells = np.stack(rows)
-    if slow.size:
-        text = ["\t" + format(v, ".17g") for v in values[slow].tolist()]
-        cells[:, slow] = np.array(text, dtype=f"S{8 * len(cells)}").view(_WORD).reshape(len(slow), -1).T
+    head = t.head[(by_x_sig * 2 + np.signbit(values)) * 10 + d0]
+    frac = [digits[0] & t.frac[0][by_x_sig], digits[1] & t.frac[1][by_x_sig]]
+    slow = ~fast & (values != 0)
+    # when the values that need the integer-part words or a per-value cell
+    # are few, and every such cell fits in 24 bytes (all but a 3-digit
+    # exponent's do), they are formatted one at a time and the chunk's other
+    # cells stay 3 words wide
+    own = np.flatnonzero(slow | (x >= 1))
+    text = _cell_text(values[own]) if len(own) <= len(values) // _FEW_WIDE else None
+    if text is not None and text.itemsize <= 24:
+        cells = np.stack([head, *frac])
+        # "d.ddde-0N" fills the 3 words: its fraction moves 4 bytes up into
+        # the unused end of the head, and its exponent into the freed end
+        small = np.flatnonzero(x <= -5)
+        f0, f1 = frac[0][small], frac[1][small]
+        cells[:, small] = [head[small] | f0 << 32, f0 >> 32 | f1 << 32, f1 >> 32 | t.exp[by_x[small]] << 32]
+    else:
+        own = np.flatnonzero(slow)
+        text = _cell_text(values[own])
+        rows = [head]
+        if (x >= 1).any():
+            rows += [digits[0] & t.whole[0][by_x], digits[1] & t.whole[1][by_x], t.point[by_x_sig]]
+        rows += frac
+        if own.size or (x <= -5).any():  # a per-value cell needs up to 25 bytes
+            rows.append(t.exp[by_x])
+        cells = np.stack(rows)
+    if own.size:
+        cells[:, own] = text.astype(f"S{8 * len(cells)}").view(_WORD).reshape(len(own), -1).T
     return cells
+
+
+def _cell_text(values: np.ndarray) -> np.ndarray:
+    """The cells ``"\\t" + "%.17g" % v`` as a byte-string array, as wide as
+    its longest cell."""
+    return np.array(["\t" + format(v, ".17g") for v in values.tolist()], dtype="S")
 
 
 def _write_vector_tsv(out, labels, matrix) -> None:

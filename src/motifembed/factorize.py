@@ -143,16 +143,21 @@ def randomized_low_rank(
     ``operator`` may be a dense array or a sparse matrix, whose products are
     ``A @ x`` and ``A.T @ x``, or any object with ``shape``, ``matmat`` and
     ``rmatmat`` (such as :class:`~motifembed.operators.KStepOperator`).
-    Draws a Gaussian test block of ``rank + oversample`` columns from
-    ``cfg.seed`` and runs ``power_iters`` power iterations,
-    each panel orthonormalized by one CholeskyQR pass. The range basis q
-    and the projected panel b = Aᵀq are orthonormalized by CholeskyQR2;
-    any of these falls back to Householder QR when the panel is too
-    ill-conditioned for Cholesky. With b = Q_b R_b, the SVD of the small
-    draw×draw matrix R_bᵀ gives the factors (Halko, Martinsson, Tropp
-    2011, §5.1). Each component's sign makes the largest-|entry| of its row
-    of V positive. The draw is capped at min(shape), the most directions a
-    range finder can return; components past it or below the rank
+    Draws a test block of ``rank + oversample`` columns from ``cfg.seed``,
+    uniform on [−1, 1): any such sub-Gaussian block finds the range as a
+    Gaussian one does (Martinsson & Tropp, Acta Numerica 2020), and the
+    draw costs a quarter as much. It must be continuous: a ±1 block is
+    singular often enough at small sizes to lose a direction. Each of
+    ``power_iters`` power iterations applies Aᵀ and then A to a panel
+    orthonormalized by one CholeskyQR pass; a pass between the two products
+    would leave the range unchanged. The range basis q and the projected
+    panel b = Aᵀq are orthonormalized by CholeskyQR2; any of these falls
+    back to Householder QR when the panel is too ill-conditioned for
+    Cholesky. With b = Q_b R_b, the SVD of the small draw×draw matrix R_bᵀ
+    gives the factors (Halko, Martinsson, Tropp 2011, §5.1). Each
+    component's sign makes the largest-|entry| of its row of V positive.
+    The draw is capped at min(shape), the most directions a range finder
+    can return; components past it or below the rank
     tolerance are zero, so U and V always have ``cfg.rank`` of them.
 
     ``support=(n, S)`` says that ``operator`` is the S×S block A[S, S] of an
@@ -174,17 +179,16 @@ def randomized_low_rank(
     rng = np.random.default_rng(cfg.seed)
     if support is None:
         size = max(n_rows, n_cols)
-        test = rng.standard_normal((n_cols, draw))
+        test = rng.random((n_cols, draw))
     else:
         size, rows = support
         if operator.shape != (len(rows), len(rows)):
             raise ValueError(f"operator {operator.shape} is not the block of {len(rows)} support nodes")
-        test = rng.standard_normal((size, min(cfg.rank + cfg.oversample, size)))[rows, :draw]
-    sample = matmat(test)
+        test = rng.random((size, min(cfg.rank + cfg.oversample, size)))[rows, :draw]
+    sample = matmat(test * 2.0 - 1.0)  # uniform on [−1, 1)
     for _ in range(cfg.power_iters):
         q, _ = _orthonormalize(sample, passes=1)
-        z, _ = _orthonormalize(rmatmat(q), passes=1)
-        sample = matmat(z)
+        sample = matmat(rmatmat(q))
     q, _ = _orthonormalize(sample, passes=2)
 
     qb, rb = _orthonormalize(rmatmat(q), passes=2)  # Aᵀq = Q_b R_b, n_cols x draw

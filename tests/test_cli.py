@@ -467,6 +467,59 @@ class TestVectorWriter:
         labels = rng.permutation(shape[0]) * 7
         assert written_tsv(labels, matrix) == per_value_tsv(labels, matrix)
 
+    @staticmethod
+    def chunk_with(wide, seed=0):
+        """One writer chunk of values in [1e-4, 1) in magnitude, whose cells
+        fit the 3-word layout, with ``wide`` spread over it."""
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(1e-4, 1.0, cli._CHUNK_VALUES) * rng.choice([-1.0, 1.0], cli._CHUNK_VALUES)
+        values[rng.choice(values.size, len(wide), replace=False)] = wide
+        return values
+
+    def assert_written_exactly(self, values):
+        matrix = values.reshape(-1, 128)
+        labels = np.arange(len(matrix))
+        assert written_tsv(labels, matrix) == per_value_tsv(labels, matrix)
+
+    @pytest.mark.parametrize(
+        "wide",
+        [
+            [12.5, -1234.5678, 2.0**60, 9999999999999998.0, 1.0000000000000002e16, 1e17, -3e-7, 1.5e-300],
+            [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -1.2345678901234567e-99],
+        ],
+        ids=["exponents", "specials"],
+    )
+    def test_a_few_wide_values_keep_their_chunk_3_words_wide(self, wide):
+        values = self.chunk_with(wide)
+        assert len(cli._g17_words(values)) == 3
+        self.assert_written_exactly(values)
+
+    def test_small_exponents_fit_3_words_however_many(self):
+        # "d.ddde-05" and "e-06" cells are laid out with the others, not one at a time
+        rng = np.random.default_rng(1)
+        small = rng.uniform(1e-6, 1e-4, cli._CHUNK_VALUES // 2) * rng.choice([-1.0, 1.0], cli._CHUNK_VALUES // 2)
+        small[:4] = [1e-5, -9.9999999999999995e-06, 1e-6, -1.0000000000000001e-05]
+        values = self.chunk_with(small)
+        assert len(cli._g17_words(values)) == 3
+        self.assert_written_exactly(values)
+
+    def test_more_wide_values_than_the_bound_widen_the_chunk(self):
+        bound = cli._CHUNK_VALUES // cli._FEW_WIDE
+        rng = np.random.default_rng(2)
+        at_bound = self.chunk_with(rng.uniform(10.0, 1e6, bound))
+        assert len(cli._g17_words(at_bound)) == 3
+        past = self.chunk_with(rng.uniform(10.0, 1e6, bound + 1))
+        assert len(cli._g17_words(past)) == 6  # head, two integer-part words, point, fraction
+        self.assert_written_exactly(at_bound)
+        self.assert_written_exactly(past)
+
+    def test_a_3_digit_exponent_widens_the_chunk(self):
+        wide = [-1.2345678901234567e-300]  # "\t" and 24 characters: a 25-byte cell
+        assert len("\t" + format(wide[0], ".17g")) == 25
+        values = self.chunk_with(wide)
+        assert len(cli._g17_words(values)) == 4
+        self.assert_written_exactly(values)
+
     def test_memory_stays_flat_with_the_matrix_size(self):
         class Sink:
             def write(self, text):

@@ -172,6 +172,64 @@ def test_rsvd_on_a_support_factorizes_the_zero_padded_matrix(size, householder_c
         randomized_low_rank(block, cfg, support=(n, rows[1:]))
 
 
+def _panel_with_spectrum(singular_values, rows, seed, cols=None):
+    """A rows × cols matrix (cols defaults to the rank) with these singular values."""
+    rng = np.random.default_rng(seed)
+    cols = singular_values.size if cols is None else cols
+    # orthonormal factors from an SVD, so that no Householder QR is counted
+    left = np.linalg.svd(rng.standard_normal((rows, singular_values.size)), full_matrices=False)[0]
+    right = np.linalg.svd(rng.standard_normal((cols, singular_values.size)), full_matrices=False)[0]
+    return (left * singular_values) @ right.T
+
+
+def _range_orthonormalized_twice_per_iteration(a, cfg):
+    """The top-``cfg.rank`` left singular basis of the range finder that
+    orthonormalizes both halves of each power iteration (Householder QR),
+    from the same test block as ``randomized_low_rank``."""
+    draw = min(cfg.rank + cfg.oversample, *a.shape)
+    test = np.random.default_rng(cfg.seed).random((a.shape[1], draw)) * 2.0 - 1.0
+    sample = a @ test
+    for _ in range(cfg.power_iters):
+        z = np.linalg.qr(a.T @ np.linalg.qr(sample)[0])[0]
+        sample = a @ z
+    q = np.linalg.qr(sample)[0]
+    return q @ np.linalg.svd(q.T @ a)[0][:, : cfg.rank]
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        _symmetric_with_gap(120, seed=52),
+        _panel_with_spectrum(0.7 ** np.arange(60), 150, seed=53, cols=90),
+    ],
+    ids=["symmetric", "nonsymmetric"],
+)
+@pytest.mark.parametrize("power_iters", [1, 2, 3])
+def test_rsvd_range_matches_two_orthonormalizations_per_iteration(a, power_iters):
+    cfg = FactorizeConfig(rank=6, power_iters=power_iters, seed=5)
+    out = randomized_low_rank(a, cfg)
+    reference = _range_orthonormalized_twice_per_iteration(a, cfg)
+    basis = np.linalg.qr(out.U)[0]
+    # the sine of the largest principal angle between the two ranges
+    assert np.linalg.norm(basis - reference @ (reference.T @ basis), 2) <= 1e-10
+
+
+@pytest.mark.parametrize("smallest", [1e-4, 1e-8, 1e-10, 1e-12])
+def test_rsvd_recovers_a_rank_16_matrix_with_a_wide_spectrum(smallest):
+    a = _panel_with_spectrum(np.logspace(0, np.log10(smallest), 16), 300, seed=54, cols=300)
+    out = randomized_low_rank(a, FactorizeConfig(rank=16, seed=6))
+    assert out.achieved_rank == 16
+    assert relative_residual(a, out) <= 1e-12
+
+
+def test_rsvd_reports_the_rank_of_a_rank_5_matrix():
+    a = _panel_with_spectrum(np.linspace(3.0, 1.0, 5), 300, seed=55, cols=300)
+    out = randomized_low_rank(a, FactorizeConfig(rank=16, seed=6))
+    assert out.achieved_rank == 5
+    assert not out.U[:, 5:].any() and not out.V[5:].any()
+    assert relative_residual(a, out) <= 1e-12
+
+
 @pytest.fixture
 def householder_calls(monkeypatch):
     """Shapes of the panels passed to Householder QR while the test runs."""
@@ -193,14 +251,6 @@ def test_orthonormalize_well_conditioned_panel(householder_calls):
     assert np.abs(q.T @ q - np.eye(26)).max() <= 1e-12
     assert np.array_equal(r, np.triu(r))
     np.testing.assert_allclose(q @ r, a, rtol=0, atol=1e-12 * np.abs(a).max())
-
-
-def _panel_with_spectrum(singular_values, rows, seed):
-    rng = np.random.default_rng(seed)
-    # orthonormal factors from an SVD, so that no Householder QR is counted
-    left = np.linalg.svd(rng.standard_normal((rows, singular_values.size)), full_matrices=False)[0]
-    right = np.linalg.svd(rng.standard_normal((singular_values.size,) * 2))[0]
-    return (left * singular_values) @ right.T
 
 
 @pytest.mark.parametrize(
